@@ -28,6 +28,7 @@ from .metric import (
 )
 from .reversibility import (
     Classification,
+    InconsistentEvidenceError,
     MCoefficients,
     Verdict,
     ZeroTest,

@@ -1,7 +1,12 @@
 """Command-line front end: validate, classify, scan and geodesic runs.
 
-Exit codes: 0 success, 1 config or I/O error, 2 validation failure,
-3 geodesic truncated at the domain boundary.
+Exit codes: 0 success; 1 config or I/O error, including an expression
+evaluated outside its domain (EvalDomainError); 2 validation failure,
+including a fiber Hessian of F^2 that is not positive definite along a
+geodesic (SingularHessianError), a failed convexity check of the frame
+oracle (ConvexityError) and classification evidence that contradicts
+itself (InconsistentEvidenceError); 3 geodesic truncated at the domain
+boundary.
 """
 
 from __future__ import annotations
@@ -12,10 +17,17 @@ import sys
 import numpy as np
 
 from .config import ConfigError, load_config
-from .frames import crosscheck
-from .geodesics import integrate, reversibility_error
+from .frames import ConvexityError, crosscheck
+from .geodesics import (
+    SingularHessianError,
+    backward_duration,
+    integrate,
+    path_distance,
+    path_prefix,
+    relaunch,
+)
 from .metric import FinslerValidationError, MetricBundle
-from .reversibility import calE, calF, classify, residual
+from .reversibility import InconsistentEvidenceError, calE, calF, classify, residual
 from .scalarfield import EvalDomainError
 
 EXIT_OK = 0
@@ -144,12 +156,14 @@ def cmd_geodesic(args) -> int:
     h = args.h if args.h is not None else cfg.h
 
     forward = integrate(bundle, x0, y0, T, h)
-    x_end = forward.samples[-1]
-    v_end = forward.velocities[-1]
-    backward = integrate(
-        bundle, tuple(x_end), (-v_end[0], -v_end[1]), max(forward.duration, h), h
-    )
-    error = reversibility_error(bundle, x0, y0, T, h)
+    # One backward run serves both paths: the one the error is measured on,
+    # of duration t_back, and the _rev path, which runs for the forward
+    # path's covered duration.
+    t_back = backward_duration(bundle, forward)
+    t_rev = max(forward.duration, h)
+    relaunched = relaunch(bundle, forward, max(t_back, t_rev))
+    error = path_distance(forward, path_prefix(relaunched, t_back))
+    backward = path_prefix(relaunched, t_rev)
 
     write_csv(
         args.out,
@@ -207,10 +221,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, EvalDomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FinslerValidationError as exc:
+    except (
+        FinslerValidationError, SingularHessianError, ConvexityError, InconsistentEvidenceError
+    ) as exc:
         print(f"validation failure:\n{exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

@@ -81,6 +81,12 @@ for _k in (0, 1):
 del _row, _k, _i, _sx, _sy
 
 
+def _singular_hessian(x1: float, x2: float, y1: float, y2: float) -> SingularHessianError:
+    return SingularHessianError(
+        f"fiber Hessian of F^2 not positive definite at x=({x1}, {x2}), y=({y1}, {y2})"
+    )
+
+
 def spray(bundle: MetricBundle, x, y):
     """Coefficients (G1, G2) of the geodesic equation x'' = -2 G(x, x')."""
     x1, x2 = float(x[0]), float(x[1])
@@ -99,9 +105,7 @@ def spray(bundle: MetricBundle, x, y):
     h12 = (L[5] - L[6] - L[7] + L[8]) / (4.0 * hy**2)
     det = h11 * h22 - h12 * h12
     if h11 <= 0.0 or det <= 0.0:
-        raise SingularHessianError(
-            f"fiber Hessian of F^2 not positive definite at x=({x1}, {x2}), y=({y1}, {y2})"
-        )
+        raise _singular_hessian(x1, x2, y1, y2)
     lx1 = (L[9] - L[10]) / (2.0 * hx)
     lx2 = (L[11] - L[12]) / (2.0 * hx)
     scale = 4.0 * hx * hy
@@ -116,12 +120,57 @@ def spray(bundle: MetricBundle, x, y):
     return 0.5 * two_g1, 0.5 * two_g2
 
 
+def _spray_batch(bundle: MetricBundle, states: np.ndarray) -> np.ndarray:
+    """Spray coefficients (G1, G2), one row per row (x1, x2, y1, y2) of ``states``.
+
+    One ``_energy_batch`` call evaluates the stencils of all rows, and paired
+    formulas of ``spray`` run as one operation on column pairs.  Every value
+    goes through the same floating-point operations in the same order as in
+    ``spray``, so each row is bitwise equal to ``spray`` on that row alone.
+    The lowest-index failing row raises the error ``spray`` raises for it.
+    """
+    rows = len(states)
+    y = states[:, 2:]
+    speed = np.hypot(y[:, 0], y[:, 1])
+    if not speed.all():
+        raise ValueError("tangent vector must be nonzero")
+    hy = 1e-4 * speed
+    # Python's float power, as in spray: libm pow(h, 2) need not equal h * h.
+    hy_sq = np.array([v**2 for v in hy.tolist()])
+    hx = 1e-5 * max(1.0, bundle.metric.domain.extent)
+
+    steps = np.empty_like(states)
+    steps[:, :2] = hx
+    steps[:, 2:] = hy[:, None]
+    pts = (states[:, None, :] + _STENCIL * steps[:, None, :]).reshape(-1, 4)
+    L = _energy_batch(bundle, pts).reshape(rows, len(_STENCIL))
+
+    # columns (h11, h22), (lx1, lx2), (m11, m12, m21, m22); see spray
+    h_diag = (L[:, 1:5:2] - 2.0 * L[:, :1] + L[:, 2:5:2]) / hy_sq[:, None]
+    h12 = (L[:, 5] - L[:, 6] - L[:, 7] + L[:, 8]) / (4.0 * hy_sq)
+    det = h_diag[:, 0] * h_diag[:, 1] - h12 * h12
+    bad = (h_diag[:, 0] <= 0.0) | (det <= 0.0)
+    if bad.any():
+        raise _singular_hessian(*(float(v) for v in states[int(np.argmax(bad))]))
+    lx = (L[:, 9:13:2] - L[:, 10:13:2]) / (2.0 * hx)
+    quad = L[:, 13:].reshape(rows, 4, 4)
+    m = (quad[:, :, 0] - quad[:, :, 1] - quad[:, :, 2] + quad[:, :, 3]) / (4.0 * hx * hy)[:, None]
+    rhs = m[:, :2] * y[:, :1] + m[:, 2:] * y[:, 1:] - lx
+    two_g = (h_diag[:, ::-1] * rhs - h12[:, None] * rhs[:, ::-1]) / det[:, None]
+    return 0.5 * two_g
+
+
 # ---------------------------------------------------------------------------
 # Fixed-step 4th order integration
 
 
+def _steps(T: float, h: float) -> int:
+    """Number of fixed steps of size h that a run of duration T takes."""
+    return max(1, int(round(T / h)))
+
+
 def _rk4(accel, domain, x0, y0, T, h):
-    n = max(1, int(round(T / h)))
+    n = _steps(T, h)
     xs = np.empty((n + 1, 2))
     ys = np.empty((n + 1, 2))
     state = np.array([x0[0], x0[1], y0[0], y0[1]], dtype=float)
@@ -147,6 +196,45 @@ def _rk4(accel, domain, x0, y0, T, h):
     return xs[: count + 1], ys[: count + 1], truncated, count * h
 
 
+def _rk4_batch(accel, domain, states: np.ndarray, n_steps: np.ndarray, h: float):
+    """``_rk4`` on every row (x1, x2, y1, y2) of ``states`` in lockstep.
+
+    Row i runs n_steps[i] steps, or stops at the first step that leaves the
+    domain, and then drops out of the batch.  ``accel`` maps the live rows to
+    their (N, 2) accelerations.  Returns one (xs, ys, truncated, covered) per row,
+    as ``_rk4`` does.
+    """
+    rows = len(states)
+    traj = np.empty((rows, int(n_steps.max(initial=0)) + 1, 4))
+    traj[:, 0] = states
+    counts = np.zeros(rows, dtype=int)
+    truncated = np.zeros(rows, dtype=bool)
+    live = np.arange(rows)
+    state = states
+
+    def rate(z):
+        return np.concatenate((z[:, 2:], accel(z)), axis=1)
+
+    step = 0
+    while live.size:
+        k1 = rate(state)
+        k2 = rate(state + 0.5 * h * k1)
+        k3 = rate(state + 0.5 * h * k2)
+        k4 = rate(state + h * k3)
+        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        step += 1
+        inside = domain.contains(state[:, 0], state[:, 1])
+        truncated[live[~inside]] = True
+        traj[live[inside], step] = state[inside]
+        counts[live[inside]] = step
+        keep = inside & (n_steps[live] > step)
+        live, state = live[keep], state[keep]
+    return [
+        (traj[i, : c + 1, :2].copy(), traj[i, : c + 1, 2:].copy(), t, c * h)
+        for i, (c, t) in enumerate(zip(counts.tolist(), truncated.tolist()))
+    ]
+
+
 def integrate(bundle: MetricBundle, x0, y0, T: float, h: float) -> GeodesicPath:
     """Integrate x'' = -2 G(x, x') from (x0, y0) for duration T with fixed step h."""
     if h <= 0 or T <= 0:
@@ -158,6 +246,44 @@ def integrate(bundle: MetricBundle, x0, y0, T: float, h: float) -> GeodesicPath:
 
     xs, ys, truncated, covered = _rk4(accel, bundle.metric.domain, x0, y0, T, h)
     return GeodesicPath(xs, ys, tuple(x0), tuple(y0), h, covered, truncated)
+
+
+def _integrate_batch(bundle: MetricBundle, x0s, y0s, Ts, h: float) -> list[GeodesicPath]:
+    """``integrate`` for every (x0, y0, T) at once, bitwise equal to separate runs."""
+    if h <= 0 or any(T <= 0 for T in Ts):
+        raise ValueError("T and h must be positive")
+    states = np.array(
+        [[x0[0], x0[1], y0[0], y0[1]] for x0, y0 in zip(x0s, y0s)], dtype=float
+    ).reshape(-1, 4)
+    n_steps = np.array([_steps(T, h) for T in Ts], dtype=int)
+
+    def accel(z):
+        return -2.0 * _spray_batch(bundle, z)
+
+    runs = _rk4_batch(accel, bundle.metric.domain, states, n_steps, h)
+    return [
+        GeodesicPath(xs, ys, tuple(x0), tuple(y0), h, covered, truncated)
+        for (xs, ys, truncated, covered), x0, y0 in zip(runs, x0s, y0s)
+    ]
+
+
+def path_prefix(path: GeodesicPath, T: float) -> GeodesicPath:
+    """The path ``integrate`` returns for duration T, cut from a run from the
+    same start that is at least that long.
+
+    Fixed-step RK4 visits the same states whatever the duration, so the
+    prefix is bitwise equal to the shorter run.  It is truncated only when
+    the longer run stopped before the prefix's last step.
+    """
+    n = _steps(T, path.h)
+    count = len(path.samples) - 1
+    if count < n and not path.truncated:
+        raise ValueError("path is shorter than the requested duration")
+    k = min(n, count)
+    return GeodesicPath(
+        path.samples[: k + 1], path.velocities[: k + 1], path.x0, path.y0, path.h,
+        k * path.h, count < n,
+    )
 
 
 def riemann_geodesic(metric: IsothermalMetric, x0, y0, T: float, h: float) -> GeodesicPath:
@@ -182,19 +308,59 @@ def riemann_geodesic(metric: IsothermalMetric, x0, y0, T: float, h: float) -> Ge
 # Unparametrized path comparison
 
 
+# Size of the (rows, segments) temporaries of _points_to_polyline, in
+# float64 values: 1 MB each, three of them in one workspace allocated once
+# per call.  Speed was flat from 2^15 to 2^17 values.  At this size the
+# freed workspace also lifts glibc's dynamic mmap threshold above the
+# 0.2-2 MB arrays of classify and scan, as the 16 MB all-pairs temporaries
+# did before; with 256 KB temporaries, a classify after a geodesic run in
+# the same process took ~20 % longer.
+_BLOCK_VALUES = 1 << 17
+
+
 def _points_to_polyline(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """Distance from each point to the nearest location on the polyline."""
+    """Distance from each point to the nearest location on the polyline.
+
+    Works on blocks of points against all segments, with the x and y
+    components in separate arrays, so memory is O(n + m) whatever the path
+    lengths.  It takes one square root per point, of the smallest squared
+    distance; the square root is monotone and correctly rounded, so this
+    equals the smallest of the distances.
+    """
     if len(poly) == 1:
         return np.linalg.norm(points - poly[0], axis=1)
-    p = poly[:-1]
-    d = poly[1:] - p
-    lensq = np.sum(d * d, axis=1)
-    lensq = np.where(lensq == 0.0, 1.0, lensq)
-    w = points[:, None, :] - p[None, :, :]
-    tpar = np.clip(np.sum(w * d[None, :, :], axis=2) / lensq[None, :], 0.0, 1.0)
-    proj = p[None, :, :] + tpar[:, :, None] * d[None, :, :]
-    dist = np.linalg.norm(points[:, None, :] - proj, axis=2)
-    return np.min(dist, axis=1)
+    px, py = poly[:-1, 0], poly[:-1, 1]
+    dx = poly[1:, 0] - px
+    dy = poly[1:, 1] - py
+    lensq = dx * dx + dy * dy
+    lensq[lensq == 0.0] = 1.0
+    qx, qy = points[:, 0, None], points[:, 1, None]
+    nearest = np.empty(len(points))
+    block = max(1, min(len(points), _BLOCK_VALUES // len(px)))
+    work = np.empty((3, block, len(px)))
+    for lo in range(0, len(points), block):
+        bx, by = qx[lo : lo + block], qy[lo : lo + block]
+        tpar, ex, ey = work[:, : len(bx)]
+        # projection parameter of each point on each segment, clipped to it
+        np.subtract(bx, px, out=tpar)
+        tpar *= dx
+        np.subtract(by, py, out=ey)
+        ey *= dy
+        tpar += ey
+        tpar /= lensq
+        np.clip(tpar, 0.0, 1.0, out=tpar)
+        # offsets from the projections, point - (start + tpar * direction)
+        np.multiply(tpar, dx, out=ex)
+        ex += px
+        np.subtract(bx, ex, out=ex)
+        np.multiply(tpar, dy, out=ey)
+        ey += py
+        np.subtract(by, ey, out=ey)
+        ex *= ex
+        ey *= ey
+        ex += ey
+        np.min(ex, axis=1, out=nearest[lo : lo + block])
+    return np.sqrt(nearest)
 
 
 def path_distance(a: GeodesicPath, b: GeodesicPath) -> float:
@@ -226,6 +392,22 @@ def _reverse_arc_length(bundle: MetricBundle, path: GeodesicPath) -> float:
     return float(np.sum(values))
 
 
+def backward_duration(bundle: MetricBundle, forward: GeodesicPath) -> float:
+    """Duration of the backward relaunch of a forward path.
+
+    It is the forward path's length under the reverse norm F(x, -y) over
+    the relaunch speed, and at least one step.
+    """
+    back_speed = finsler_norm(bundle, forward.samples[-1], -forward.velocities[-1])
+    t_back = _reverse_arc_length(bundle, forward) / back_speed
+    return max(t_back, forward.h)
+
+
+def relaunch(bundle: MetricBundle, forward: GeodesicPath, T: float) -> GeodesicPath:
+    """Geodesic from the end of a forward path with its end velocity reversed."""
+    return integrate(bundle, forward.samples[-1], -forward.velocities[-1], T, forward.h)
+
+
 def reversibility_error(bundle: MetricBundle, x0, y0, T: float, h: float) -> float:
     """Unparametrized distance between a geodesic and its reverse relaunch.
 
@@ -234,23 +416,27 @@ def reversibility_error(bundle: MetricBundle, x0, y0, T: float, h: float) -> flo
     a reversible structure retraces the same set of points.
     """
     forward = integrate(bundle, x0, y0, T, h)
-    x_end = forward.samples[-1]
-    v_end = forward.velocities[-1]
-    back_speed = finsler_norm(bundle, x_end, -v_end)
-    t_back = _reverse_arc_length(bundle, forward) / back_speed
-    t_back = max(t_back, h)
-    backward = integrate(bundle, x_end, -v_end, t_back, h)
+    backward = relaunch(bundle, forward, backward_duration(bundle, forward))
     return path_distance(forward, backward)
 
 
 def reversibility_scan(
     bundle: MetricBundle, x0, T: float, h: float, n_directions: int
 ) -> list[tuple[tuple[float, float], float]]:
-    """Probe reversibility along unit directions fanned around the base point."""
+    """Probe reversibility along unit directions fanned around the base point.
+
+    Equal, bitwise, to ``reversibility_error`` for each direction: all
+    forward runs advance as one lockstep batch, then all backward runs.
+    """
     angles = 2.0 * np.pi * np.arange(n_directions) / n_directions + 0.137
-
-    def probe(angle):
-        y0 = (float(np.cos(angle)), float(np.sin(angle)))
-        return y0, reversibility_error(bundle, x0, y0, T, h)
-
-    return ordered_map(probe, angles)
+    y0s = [(float(np.cos(angle)), float(np.sin(angle))) for angle in angles]
+    forwards = _integrate_batch(bundle, [x0] * len(y0s), y0s, [T] * len(y0s), h)
+    backwards = _integrate_batch(
+        bundle,
+        [path.samples[-1] for path in forwards],
+        [-path.velocities[-1] for path in forwards],
+        [backward_duration(bundle, path) for path in forwards],
+        h,
+    )
+    errors = ordered_map(lambda pair: path_distance(*pair), zip(forwards, backwards))
+    return list(zip(y0s, errors))

@@ -86,8 +86,11 @@ class PhiFunction:
         return cls.from_text(f"({even_text}) + {eps!r} * s", b0)
 
     def check_s(self, s) -> None:
-        if np.any(np.abs(np.asarray(s, dtype=float)) >= self.b0):
-            raise EvalDomainError(f"|s| >= b0 = {self.b0}")
+        values = np.asarray(s, dtype=float)
+        bad = np.abs(values) >= self.b0
+        if np.any(bad):
+            witness = float(values.flat[int(np.argmax(bad))])
+            raise EvalDomainError(f"|s| >= b0 = {self.b0} at s={witness!r}")
 
     def __repr__(self) -> str:
         return f"PhiFunction({self.phi!r}, b0={self.b0})"
@@ -242,8 +245,9 @@ class Rectangle:
     x2min: float
     x2max: float
 
-    def contains(self, x1: float, x2: float) -> bool:
-        return self.x1min <= x1 <= self.x1max and self.x2min <= x2 <= self.x2max
+    def contains(self, x1, x2):
+        """Whether (x1, x2) lies in the closed rectangle; elementwise on arrays."""
+        return (self.x1min <= x1) & (x1 <= self.x1max) & (self.x2min <= x2) & (x2 <= self.x2max)
 
     @property
     def extent(self) -> float:

@@ -213,6 +213,10 @@ def gauss_curvature(metric: IsothermalMetric, x):
 # Classification
 
 
+class InconsistentEvidenceError(ValueError):
+    """Two pieces of classification evidence contradict each other."""
+
+
 class Verdict(enum.Enum):
     CLASS_A = "ClassA"
     CLASS_B = "ClassB"
@@ -323,9 +327,11 @@ def classify(bundle: MetricBundle, sampling: Optional[Sampling] = None) -> Class
         verdict = Verdict.ABSOLUTELY_HOMOGENEOUS
     elif evidence["E"].passed and evidence["curl"].passed:
         # the profile-level split must agree with the vanishing of E
-        assert decomposition.is_class_A_shape, (
-            "E vanishes on the grid but the odd part is not a multiple of s"
-        )
+        if not decomposition.is_class_A_shape:
+            raise InconsistentEvidenceError(
+                f"E vanishes on the grid over |s| <= b_sup = {report.b_sup:.6g}, but the "
+                f"odd part of phi is not a multiple of s on (0, b0 = {bundle.phi.b0:.6g})"
+            )
         verdict = Verdict.CLASS_A
     elif (
         evidence["M"].passed

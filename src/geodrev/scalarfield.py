@@ -339,6 +339,22 @@ def parse_expr(text: str, allowed_vars) -> Expr:
 # raise EvalDomainError in both cases.
 
 
+def _domain_error(message: str, bad: np.ndarray, env: Mapping[str, Value]) -> EvalDomainError:
+    """EvalDomainError naming the first point of ``env`` at which ``bad`` holds.
+
+    Variables that do not broadcast to the shape of ``bad`` are left out;
+    the failing subexpression does not depend on them.
+    """
+    index = np.unravel_index(int(np.argmax(bad)), bad.shape)
+    coords = []
+    for name, value in env.items():
+        try:
+            coords.append(f"{name}={float(np.broadcast_to(value, bad.shape)[index])!r}")
+        except (TypeError, ValueError):
+            continue
+    return EvalDomainError(f"{message} at {', '.join(coords)}" if coords else message)
+
+
 def eval_expr(e: Expr, env: Mapping[str, Value]) -> Value:
     if isinstance(e, Const):
         return e.value
@@ -360,11 +376,11 @@ def eval_expr(e: Expr, env: Mapping[str, Value]) -> Value:
             return np.exp(a)
         if op == "ln":
             if np.any(np.asarray(a) <= 0.0):
-                raise EvalDomainError("ln of non-positive value")
+                raise _domain_error("ln of non-positive value", np.asarray(a) <= 0.0, env)
             return np.log(a)
         if op == "sqrt":
             if np.any(np.asarray(a) < 0.0):
-                raise EvalDomainError("sqrt of negative value")
+                raise _domain_error("sqrt of negative value", np.asarray(a) < 0.0, env)
             return np.sqrt(a)
         raise ExpressionError(f"bad unary op {op!r}")
     if isinstance(e, Binary):
@@ -379,13 +395,13 @@ def eval_expr(e: Expr, env: Mapping[str, Value]) -> Value:
             return a * b
         if op == "/":
             if np.any(np.asarray(b) == 0.0):
-                raise EvalDomainError("division by zero")
+                raise _domain_error("division by zero", np.asarray(b) == 0.0, env)
             return a / b
         raise ExpressionError(f"bad binary op {op!r}")
     if isinstance(e, Power):
         a = eval_expr(e.base, env)
         if e.exponent < 0 and np.any(np.asarray(a) == 0.0):
-            raise EvalDomainError("zero raised to a negative power")
+            raise _domain_error("zero raised to a negative power", np.asarray(a) == 0.0, env)
         with np.errstate(over="raise"):
             return np.power(a, e.exponent) if e.exponent >= 0 else 1.0 / np.power(a, -e.exponent)
     raise ExpressionError(f"bad node {e!r}")

@@ -1,7 +1,14 @@
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from geodrev import PhiFunction, calE, calF
+import geodrev
+from geodrev import ConvexityError, PhiFunction, calE, calF, integrate, reversibility_error
+from geodrev import cli
 from geodrev.cli import main
 from geodrev.config import ConfigError, parse_config
 
@@ -78,6 +85,36 @@ n_x1 = 9
 n_x2 = 9
 n_t = 16
 n_s = 13
+"""
+
+
+# ln(x1) is undefined on half of the rectangle
+LN_NU_CONFIG = CLASS_B_CONFIG.replace('nu = "0"', 'nu = "ln(x1)"')
+
+# A peak of b1 between the validation grid's points: validation passes, but
+# b exceeds b0 near x1 = 1/62, where geodesics lose convexity.
+PEAKED_B1_CONFIG = IRREVERSIBLE_CONFIG.replace(
+    'b1 = "0.2 + 0.1*x1"', 'b1 = "0.2 + 0.1*x1 + 0.3*exp(-200000*(x1-0.0161290322)^2)"'
+)
+
+# E is below its threshold on the small grid |s| <= b_sup = 0.014, but the
+# s^5 term makes the odd part of phi no multiple of s on (0, b0).
+INCONSISTENT_CONFIG = """
+[metric]
+nu = "0"
+x1min = -1.0
+x1max = 1.0
+x2min = -1.0
+x2max = 1.0
+
+[form]
+b1 = "0.01*x2"
+b2 = "0.01*x1"
+
+[phi]
+kind = "expr"
+expr = "1 + s^2 + 0.3*s + 0.000001*s^5"
+b0 = 0.4
 """
 
 
@@ -279,3 +316,97 @@ class TestGeodesicCommand:
         cfg = write(tmp_path, CLASS_B_CONFIG)
         code = main(["geodesic", cfg, "--x0", "0", "--y0", "1,0", "--out", str(tmp_path / "p.csv")])
         assert code == 1
+
+
+def _csv_bytes(path) -> bytes:
+    lines = ["step,x1,x2"]
+    lines += [f"{float(i):.17g},{p[0]:.17g},{p[1]:.17g}" for i, p in enumerate(path.samples)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def four_integration_recipe(config_text, x0, y0, T, h):
+    """CSV bytes, printed line and exit code of the geodesic command, rebuilt
+    from a forward run, a _rev run of the forward duration and a separate
+    reversibility_error (which integrates forward and backward again)."""
+    bundle = parse_config(config_text).build_bundle()
+    forward = integrate(bundle, x0, y0, T, h)
+    x_end, v_end = forward.samples[-1], forward.velocities[-1]
+    backward = integrate(
+        bundle, tuple(x_end), (-v_end[0], -v_end[1]), max(forward.duration, h), h
+    )
+    error = reversibility_error(bundle, x0, y0, T, h)
+    code = 3 if forward.truncated or backward.truncated else 0
+    return _csv_bytes(forward), _csv_bytes(backward), f"reversibility_error = {error:.12g}\n", code
+
+
+class TestGeodesicRecipe:
+    @pytest.mark.parametrize(
+        "config, x0, angle, T",
+        [
+            (CLASS_A_CONFIG, (0.0, 0.0), 2.0 * math.pi * 1 / 8 + 0.137, 0.3),  # t_back > T
+            (CLASS_A_CONFIG, (0.0, 0.0), 2.0 * math.pi * 3 / 8 + 0.137, 0.3),  # t_back < T
+            (IRREVERSIBLE_CONFIG, (0.7, 0.2), 0.2, 1.0),                       # truncated
+        ],
+        ids=["class_a_long_backward", "class_a_short_backward", "irreversible_truncated"],
+    )
+    def test_output_equals_four_integration_recipe(self, tmp_path, capsys, config, x0, angle, T):
+        y0 = (math.cos(angle), math.sin(angle))
+        h = 1e-3
+        out_csv = tmp_path / "path.csv"
+        code = main(
+            [
+                "geodesic", write(tmp_path, config), f"--x0={x0[0]!r},{x0[1]!r}",
+                f"--y0={y0[0]!r},{y0[1]!r}", "--T", repr(T), "--h", repr(h), "--out", str(out_csv),
+            ]
+        )
+        forward, backward, printed, expected_code = four_integration_recipe(config, x0, y0, T, h)
+        assert code == expected_code
+        assert capsys.readouterr().out == printed
+        assert out_csv.read_bytes() == forward
+        assert (tmp_path / "path_rev.csv").read_bytes() == backward
+
+
+class TestErrorExitCodes:
+    @pytest.mark.parametrize("command", ["validate", "classify"])
+    def test_domain_error_is_config_error(self, tmp_path, capsys, command):
+        code = main([command, write(tmp_path, LN_NU_CONFIG)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error: ln of non-positive value at x1=")
+
+    def test_singular_hessian_is_validation_failure(self, tmp_path, capsys):
+        cfg = write(tmp_path, PEAKED_B1_CONFIG)
+        assert main(["validate", cfg]) == 0
+        code = main(
+            ["geodesic", cfg, "--x0=-0.5,0", "--y0=1,0", "--out", str(tmp_path / "p.csv")]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "fiber Hessian of F^2 not positive definite at x=(" in err
+
+    def test_convexity_error_is_validation_failure(self, tmp_path, capsys, monkeypatch):
+        def failing_crosscheck(bundle, x, t):
+            raise ConvexityError((0.25, -0.5), 1.5, -0.01)
+
+        monkeypatch.setattr(cli, "crosscheck", failing_crosscheck)
+        code = main(
+            ["scan", write(tmp_path, SCAN_CONFIG), "--what", "crosscheck", "--out", str(tmp_path / "c.csv")]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "at x=(0.25, -0.5), t=1.5" in err
+
+    def test_inconsistent_evidence_is_validation_failure(self, tmp_path, capsys):
+        code = main(["classify", write(tmp_path, INCONSISTENT_CONFIG)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "odd part of phi is not a multiple of s" in err
+
+    def test_evidence_check_survives_optimize_flag(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(geodrev.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "geodrev.cli", "classify", write(tmp_path, INCONSISTENT_CONFIG)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr

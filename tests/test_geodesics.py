@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from geodrev import (
     riemann_geodesic,
     spray,
 )
+from geodrev import geodesics
+from geodrev.geodesics import _integrate_batch, _points_to_polyline, _spray_batch, path_prefix
 
 SPHERE_NU = "-ln(1 + (x1^2 + x2^2)/4)"
 
@@ -253,3 +256,124 @@ def test_finsler_norm_positive_and_homogeneous(class_b_bundle, rng):
         assert finsler_norm(class_b_bundle, x, (3 * y[0], 3 * y[1])) == pytest.approx(
             3 * value, rel=1e-12
         )
+
+
+def _same_path(got: GeodesicPath, want: GeodesicPath) -> None:
+    np.testing.assert_array_equal(got.samples, want.samples)
+    np.testing.assert_array_equal(got.velocities, want.velocities)
+    assert got.truncated == want.truncated
+    assert got.duration == want.duration
+    assert got.h == want.h
+
+
+class TestBatchedEngine:
+    @pytest.mark.parametrize("T", [1.0, 0.02])
+    @pytest.mark.parametrize("witness", ["class_a", "class_b", "irreversible", "even"])
+    def test_scan_equals_per_direction_errors(self, witness, T, request):
+        bundle = request.getfixturevalue(f"{witness}_bundle")
+        scan = reversibility_scan(bundle, (0.0, 0.0), T, 1e-3, 8)
+        reference = [
+            reversibility_error(bundle, (0.0, 0.0), y0, T, 1e-3) for y0, _ in scan
+        ]
+        assert [error for _, error in scan] == reference
+
+    def test_mixed_step_counts_and_truncation_match_single_runs(self, irreversible_bundle):
+        starts = [
+            ((0.0, 0.0), (1.0, 0.3), 0.3),
+            ((0.2, -0.1), (-0.5, 0.8), 0.1),
+            ((0.9, 0.0), (1.0, 0.0), 0.5),     # leaves the domain after ~0.1
+            ((0.0, 0.5), (0.3, -1.0), 0.002),
+            ((-0.3, 0.4), (0.6, 0.6), 0.25),
+        ]
+        batch = _integrate_batch(
+            irreversible_bundle, *(list(column) for column in zip(*starts)), 1e-3
+        )
+        singles = [integrate(irreversible_bundle, x0, y0, T, 1e-3) for x0, y0, T in starts]
+        assert [path.truncated for path in singles] == [False, False, True, False, False]
+        for got, want in zip(batch, singles):
+            _same_path(got, want)
+            assert got.x0 == want.x0 and got.y0 == want.y0
+
+    def test_spray_batch_rows_equal_scalar_spray(self, class_a_bundle, rng):
+        states = np.column_stack(
+            [rng.uniform(-1, 1, 6), rng.uniform(-1, 1, 6), rng.uniform(-2, 2, 6), rng.uniform(0.2, 2, 6)]
+        )
+        accel = _spray_batch(class_a_bundle, states)
+        for row, (g1, g2) in zip(states, accel):
+            assert (g1, g2) == spray(class_a_bundle, row[:2], row[2:])
+
+    def test_spray_batch_names_lowest_failing_row(self):
+        metric = IsothermalMetric.from_text("0", Rectangle(-1, 1, -1, 1))
+        bundle = MetricBundle(metric, LinearForm.from_text("0.65", "0"), PhiFunction.matsumoto(0.7))
+        states = np.array(
+            [[0.1, 0.2, 0.0, 1.0], [0.3, -0.4, 1.0, 0.0], [0.0, 0.0, 0.0, -1.0], [0.5, 0.5, 2.0, 0.0]]
+        )
+        with pytest.raises(SingularHessianError) as scalar:
+            spray(bundle, states[1, :2], states[1, 2:])
+        with pytest.raises(SingularHessianError) as batched:
+            _spray_batch(bundle, states)
+        assert str(batched.value) == str(scalar.value)
+        assert "x=(0.3, -0.4), y=(1.0, 0.0)" in str(batched.value)
+
+    def test_spray_batch_rejects_zero_vector(self, class_b_bundle):
+        with pytest.raises(ValueError):
+            _spray_batch(class_b_bundle, np.array([[0.0, 0.0, 1.0, 0.0], [0.1, 0.1, 0.0, 0.0]]))
+
+    def test_prefix_equals_shorter_run(self, irreversible_bundle):
+        x0, y0, h = (0.6, 0.0), (1.0, 0.1), 1e-3
+        long = integrate(irreversible_bundle, x0, y0, 1.0, h)
+        assert long.truncated
+        steps = len(long.samples) - 1
+        for T in (0.05, steps * h, (steps + 1) * h, 0.9):
+            _same_path(path_prefix(long, T), integrate(irreversible_bundle, x0, y0, T, h))
+        done = integrate(irreversible_bundle, x0, y0, 0.1, h)
+        with pytest.raises(ValueError):
+            path_prefix(done, 0.2)
+
+
+def _points_to_polyline_all_pairs(points, poly):
+    """The all-pairs formula, with (n, m - 1, 2) temporaries."""
+    if len(poly) == 1:
+        return np.linalg.norm(points - poly[0], axis=1)
+    p = poly[:-1]
+    d = poly[1:] - p
+    lensq = np.sum(d * d, axis=1)
+    lensq = np.where(lensq == 0.0, 1.0, lensq)
+    w = points[:, None, :] - p[None, :, :]
+    tpar = np.clip(np.sum(w * d[None, :, :], axis=2) / lensq[None, :], 0.0, 1.0)
+    proj = p[None, :, :] + tpar[:, :, None] * d[None, :, :]
+    dist = np.linalg.norm(points[:, None, :] - proj, axis=2)
+    return np.min(dist, axis=1)
+
+
+class TestBlockedPolylineDistance:
+    @pytest.mark.parametrize("n, m", [(1, 1), (7, 1), (1, 5), (37, 53), (300, 2), (10_000, 11)])
+    def test_equals_all_pairs(self, n, m, rng):
+        points = rng.normal(size=(n, 2))
+        poly = np.cumsum(rng.normal(size=(m, 2)), axis=0)
+        np.testing.assert_array_equal(
+            _points_to_polyline(points, poly), _points_to_polyline_all_pairs(points, poly)
+        )
+
+    def test_zero_length_segments_and_ragged_blocks(self, rng, monkeypatch):
+        monkeypatch.setattr(geodesics, "_BLOCK_VALUES", 50)
+        poly = np.cumsum(rng.normal(size=(40, 2)), axis=0)
+        poly[10:14] = poly[10]          # three zero-length segments
+        poly[-2] = poly[-1]
+        points = np.vstack([rng.normal(size=(201, 2)) * 3.0, poly[8:16]])
+        np.testing.assert_array_equal(
+            _points_to_polyline(points, poly), _points_to_polyline_all_pairs(points, poly)
+        )
+
+    def test_memory_is_bounded(self):
+        s = np.linspace(0.0, 1.0, 4001)
+        a = GeodesicPath(np.column_stack([s, s * s]), None, (0.0, 0.0), (1.0, 0.0), 1e-3, 4.0, False)
+        b = GeodesicPath(np.column_stack([s, s * s + 1e-3]), None, (0.0, 0.0), (1.0, 0.0), 1e-3, 4.0, False)
+        tracemalloc.start()
+        try:
+            distance = path_distance(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < distance <= 1e-3
+        assert peak < 32 * 2**20

@@ -111,6 +111,15 @@ class TestEval:
         with pytest.raises(EvalDomainError):
             f(s=np.array([0.0, 1.0, 2.0]))
 
+    def test_domain_error_names_first_failing_point(self):
+        f = ScalarField.parse("sqrt(x2) + 1/(x1 - x2)", ("x1", "x2"))
+        grid = {"x1": np.array([0.0, 1.0, 2.0])[:, None], "x2": np.array([2.0, 1.0])[None, :]}
+        with pytest.raises(EvalDomainError, match=r"^division by zero at x1=1\.0, x2=1\.0$"):
+            f.eval(grid)
+        # the failing subexpression depends on x2 alone, so x1 is left out
+        with pytest.raises(EvalDomainError, match=r"^sqrt of negative value at x2=-1\.0$"):
+            f(x1=np.array([3.0, 4.0]), x2=-1.0)
+
 
 class TestDiff:
     def test_linear(self):
