@@ -1,18 +1,20 @@
 """Command-line front end: validate, classify, scan and geodesic runs.
 
-Exit codes: 0 success; 1 config or I/O error, including an expression
-evaluated outside its domain (EvalDomainError); 2 validation failure,
-including a fiber Hessian of F^2 that is not positive definite along a
-geodesic (SingularHessianError), a failed convexity check of the frame
-oracle (ConvexityError) and classification evidence that contradicts
-itself (InconsistentEvidenceError); 3 geodesic truncated at the domain
-boundary.
+Exit codes: 0 success; 1 usage, config or I/O error, including an
+expression evaluated outside its domain (EvalDomainError); 2 validation
+failure, including a fiber Hessian of F^2 that is not positive definite
+along a geodesic (SingularHessianError), a failed convexity check of the
+frame oracle (ConvexityError) and classification evidence that
+contradicts itself (InconsistentEvidenceError); 3 geodesic truncated at
+the domain boundary.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
+from itertools import islice
 
 import numpy as np
 
@@ -36,15 +38,35 @@ EXIT_VALIDATION = 2
 EXIT_TRUNCATED = 3
 
 
-def _format(value: float) -> str:
-    return f"{value:.17g}"
+# Rows formatted per string operation; bounds the size of each written chunk.
+CSV_BLOCK_ROWS = 4096
+
+
+def _row_blocks(rows, width: int):
+    """(k, width) float64 blocks of at most CSV_BLOCK_ROWS rows, in order."""
+    if isinstance(rows, np.ndarray):
+        blocks = (rows[i : i + CSV_BLOCK_ROWS] for i in range(0, len(rows), CSV_BLOCK_ROWS))
+    else:
+        rows = iter(rows)
+        blocks = iter(lambda: list(islice(rows, CSV_BLOCK_ROWS)), [])
+    for block in blocks:
+        block = np.asarray(block, dtype=float)
+        if block.ndim != 2 or block.shape[1] != width:
+            raise ValueError(f"rows of {width} values expected, got a block of shape {block.shape}")
+        yield block
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
+    """Write a header line, then one line per row, every value as %.17g.
+
+    ``rows`` is a (rows, len(header)) array or an iterable of rows.
+    """
+    width = len(header)
+    line = ",".join(["%.17g"] * width) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(_format(v) for v in row) + "\n")
+        for block in _row_blocks(rows, width):
+            handle.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def _load_bundle(path: str) -> tuple[MetricBundle, "ExperimentConfig"]:
@@ -83,39 +105,50 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _scan_rows(bundle: MetricBundle, what: str):
+def _scan_rows(bundle: MetricBundle, what: str) -> tuple[list[str], np.ndarray]:
+    """Header and (rows, columns) table of a scan.
+
+    Grid scans evaluate the whole base x fiber grid in one broadcast call;
+    rows run over x1 outermost, then x2, then t.
+    """
     sampling = bundle.sampling
     report = bundle.validate()
     if what in ("E", "F"):
         s = np.linspace(-report.b_sup, report.b_sup, sampling.n_s)
         e_vals = np.broadcast_to(calE(bundle.phi, s), s.shape)
         f_vals = np.broadcast_to(calF(bundle.phi, s, report.b_sup), s.shape)
-        return ["s", "E", "F"], zip(s, e_vals, f_vals)
-
-    d = bundle.metric.domain
-    xs1 = np.linspace(d.x1min, d.x1max, sampling.n_x1)
-    xs2 = np.linspace(d.x2min, d.x2max, sampling.n_x2)
-    ts = bundle.t_grid()
-    rows = []
+        return ["s", "E", "F"], np.column_stack((s, e_vals, f_vals))
     if what == "residual":
-        for x1 in xs1:
-            for x2 in xs2:
-                values = np.broadcast_to(residual(bundle, (x1, x2), ts), ts.shape)
-                rows.extend((x1, x2, t, v) for t, v in zip(ts, values))
-        return ["x1", "x2", "t", "residual"], rows
-    if what == "crosscheck":
-        for x1 in xs1:
-            for x2 in xs2:
-                result = crosscheck(bundle, (x1, x2), ts)
-                direct = np.broadcast_to(result.direct, ts.shape)
-                closed = np.broadcast_to(result.closed_form, ts.shape)
-                gap = np.broadcast_to(result.relative_gap, ts.shape)
-                rows.extend(
-                    (x1, x2, t, dv, cv, gv)
-                    for t, dv, cv, gv in zip(ts, direct, closed, gap)
-                )
-        return ["x1", "x2", "t", "direct", "closed_form", "gap"], rows
-    raise ConfigError(f"unknown scan kind {what!r}")
+        header = ["x1", "x2", "t", "residual"]
+
+        def evaluate(x1, x2, t):
+            return [residual(bundle, (x1, x2), t)]
+    elif what == "crosscheck":
+        header = ["x1", "x2", "t", "direct", "closed_form", "gap"]
+
+        def evaluate(x1, x2, t):
+            result = crosscheck(bundle, (x1, x2), t)
+            return [result.direct, result.closed_form, result.relative_gap]
+    else:
+        raise ConfigError(f"unknown scan kind {what!r}")
+
+    xs1, xs2 = bundle.base_grid()
+    g1, g2 = np.meshgrid(xs1, xs2, indexing="ij")
+    X1 = g1.reshape(-1, 1)
+    X2 = g2.reshape(-1, 1)
+    t = bundle.t_grid()[None, :]
+    try:
+        values = evaluate(X1, X2, t)
+    except EvalDomainError:
+        # The grid call evaluates each expression at every point before the
+        # next one, so its error may name a later point than the first to
+        # fail.  Walk the points in row order to name the first.
+        for x1, x2 in zip(X1.ravel(), X2.ravel()):
+            evaluate(x1, x2, t)
+        raise
+    shape = (X1.size, t.size)
+    columns = [np.broadcast_to(v, shape).ravel() for v in (X1, X2, t, *values)]
+    return header, np.column_stack(columns)
 
 
 def cmd_scan(args) -> int:
@@ -165,16 +198,9 @@ def cmd_geodesic(args) -> int:
     error = path_distance(forward, path_prefix(relaunched, t_back))
     backward = path_prefix(relaunched, t_rev)
 
-    write_csv(
-        args.out,
-        ["step", "x1", "x2"],
-        ((float(i), p[0], p[1]) for i, p in enumerate(forward.samples)),
-    )
-    write_csv(
-        _rev_path_name(args.out),
-        ["step", "x1", "x2"],
-        ((float(i), p[0], p[1]) for i, p in enumerate(backward.samples)),
-    )
+    for path, run in ((args.out, forward), (_rev_path_name(args.out), backward)):
+        steps = np.arange(len(run.samples), dtype=float)
+        write_csv(path, ["step", "x1", "x2"], np.column_stack((steps, run.samples)))
     print(f"reversibility_error = {error:.12g}")
     if forward.truncated or backward.truncated:
         print("path truncated at the domain boundary", file=sys.stderr)
@@ -182,8 +208,36 @@ def cmd_geodesic(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits with EXIT_CONFIG on a usage error, so that 2 keeps meaning a
+    validation failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Spell "--x0 -0.5,0" as "--x0=-0.5,0".
+
+    argparse reads a separate value that starts with a minus sign as an
+    option unless it is a plain negative number, which a pair is not.
+    """
+    out: list[str] = []
+    for arg in argv:
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and "=" not in prev and _NEGATIVE_VALUE.match(arg):
+            out[-1] = f"{prev}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="geodrev",
         description="Decide whether a 2-dimensional (alpha,beta) Finsler structure "
         "has reversible geodesics.",
@@ -218,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.fn(args)
     except (ConfigError, EvalDomainError) as exc:

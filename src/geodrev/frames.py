@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metric import IsothermalMetric, MetricBundle, PhiFunction
-from .reversibility import PointData, point_data, residual
+from .reversibility import PointData, _residual_from_point, point_data
 from .scalarfield import (
     Expr,
     Var,
@@ -340,13 +340,17 @@ def ecprinc_direct(bundle: MetricBundle, x, t):
     with the frame at angle t; nothing about r is coded independently.
     """
     pd = point_data(bundle.form, bundle.metric, x[0], x[1])
+    return _ecprinc_from_point(pd, bundle.phi, t)
+
+
+def _ecprinc_from_point(pd: PointData, phi: PhiFunction, t):
     t = np.asarray(t, dtype=float)
     ct, st = np.cos(t), np.sin(t)
     nu_plus = pd.nu1 * ct + pd.nu2 * st
     nu_minus = pd.nu2 * ct - pd.nu1 * st
 
-    cp = _coord_data(pd, bundle.phi, t)
-    cr = _coord_data(pd, bundle.phi, t + np.pi)
+    cp = _coord_data(pd, phi, t)
+    cr = _coord_data(pd, phi, t + np.pi)
 
     p32_minus_p1 = pd.e_mnu * (
         cp.dp_dx1dt * ct
@@ -382,12 +386,12 @@ def crosscheck(bundle: MetricBundle, x, t) -> CrosscheckResult:
 
     The two vanish together; away from the zero set the empirical ratio is
     the positive factor e^{-nu(x)}, which the relative gap accounts for.
+    Both sides share one evaluation of the base-point data.
     """
-    direct = ecprinc_direct(bundle, x, t)
-    closed = residual(bundle, x, t)
-    env = {"x1": x[0], "x2": x[1]}
-    weight = np.exp(-bundle.metric.nu.eval(env))
-    scaled = weight * np.abs(np.asarray(closed, dtype=float))
+    pd = point_data(bundle.form, bundle.metric, x[0], x[1])
+    direct = _ecprinc_from_point(pd, bundle.phi, t)
+    closed = _residual_from_point(pd, bundle.phi, t)
+    scaled = pd.e_mnu * np.abs(np.asarray(closed, dtype=float))
     mag = np.abs(np.asarray(direct, dtype=float))
     denom = np.maximum(np.maximum(mag, scaled), 1e-300)
     gap = np.abs(mag - scaled) / denom

@@ -317,6 +317,39 @@ class TestGeodesicCommand:
         code = main(["geodesic", cfg, "--x0", "0", "--y0", "1,0", "--out", str(tmp_path / "p.csv")])
         assert code == 1
 
+    def test_negative_pairs_in_both_spellings(self, tmp_path, capsys):
+        cfg = write(tmp_path, CLASS_B_CONFIG)
+        outputs = []
+        for name, pairs in (
+            ("spaced", ["--x0", "-0.5,0", "--y0", "-1,0"]),
+            ("joined", ["--x0=-0.5,0", "--y0=-1,0"]),
+            ("leading_dot", ["--x0", "-.5,0", "--y0", "-1,-0"]),
+        ):
+            out_csv = tmp_path / f"{name}.csv"
+            code = main(["geodesic", cfg, *pairs, "--T", "0.2", "--out", str(out_csv)])
+            assert code == 0
+            outputs.append((out_csv.read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1] == outputs[2]
+        first = outputs[0][0].splitlines()[1]
+        assert first == b"0,-0.5,0"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["geodesic", "cfg", "--y0", "1,0", "--out", "p.csv"],  # --x0 missing
+            ["scan", "cfg", "--what", "curl", "--out", "s.csv"],  # bad choice
+            ["geodesic", "cfg", "--x0", "0,0", "--y0", "1,0", "--T", "long", "--out", "p.csv"],
+            ["nonsense"],
+        ],
+    )
+    def test_usage_error_is_config_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: geodrev")
+        assert "error:" in err
+
 
 def _csv_bytes(path) -> bytes:
     lines = ["step,x1,x2"]

@@ -305,6 +305,23 @@ class TestCrosscheck:
         assert np.count_nonzero(live) > 50
         assert float(np.max(result.relative_gap[live])) <= 1e-6
 
+    def test_shared_point_data_is_bitwise_equal(self, witness_bundles, generic_bundle, rng):
+        """One point_data evaluation gives what three separate ones gave."""
+        for bundle in (*witness_bundles.values(), generic_bundle):
+            x1s, x2s, ts = random_points(bundle, rng, 40)
+            x = (x1s[:, None], x2s[:, None])
+            t = ts[None, :]
+            result = crosscheck(bundle, x, t)
+            direct = ecprinc_direct(bundle, x, t)
+            closed = residual(bundle, x, t)
+            weight = np.exp(-bundle.metric.nu.eval({"x1": x[0], "x2": x[1]}))
+            mag = np.abs(np.asarray(direct, dtype=float))
+            scaled = weight * np.abs(np.asarray(closed, dtype=float))
+            gap = np.abs(mag - scaled) / np.maximum(np.maximum(mag, scaled), 1e-300)
+            for got, want in ((result.direct, direct), (result.closed_form, closed), (result.relative_gap, gap)):
+                assert np.shape(got) == np.shape(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
     def test_gap_accounts_for_conformal_weight(self, generic_bundle, rng):
         x1s, x2s, ts = random_points(generic_bundle, rng, 50)
         result = crosscheck(generic_bundle, (x1s, x2s), ts)

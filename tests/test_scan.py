@@ -1,0 +1,163 @@
+"""The vectorized scan table and the block CSV writer against their
+per-point and per-value reference implementations."""
+
+import numpy as np
+import pytest
+
+from geodrev import IsothermalMetric, LinearForm, MetricBundle, PhiFunction, Rectangle
+from geodrev import cli
+from geodrev.frames import crosscheck
+from geodrev.reversibility import residual
+from geodrev.scalarfield import EvalDomainError
+
+from conftest import (
+    make_class_a_bundle,
+    make_class_b_bundle,
+    make_even_bundle,
+    make_irreversible_bundle,
+)
+
+WITNESSES = {
+    "class_a": make_class_a_bundle,
+    "class_b": make_class_b_bundle,
+    "irreversible": make_irreversible_bundle,
+    "even": make_even_bundle,
+}
+
+
+def reference_scan_rows(bundle, what):
+    """The per-base-point scan loop: one residual or crosscheck call per (x1, x2)."""
+    sampling = bundle.sampling
+    bundle.validate()
+    d = bundle.metric.domain
+    xs1 = np.linspace(d.x1min, d.x1max, sampling.n_x1)
+    xs2 = np.linspace(d.x2min, d.x2max, sampling.n_x2)
+    ts = bundle.t_grid()
+    rows = []
+    if what == "residual":
+        for x1 in xs1:
+            for x2 in xs2:
+                values = np.broadcast_to(residual(bundle, (x1, x2), ts), ts.shape)
+                rows.extend((x1, x2, t, v) for t, v in zip(ts, values))
+        return ["x1", "x2", "t", "residual"], rows
+    for x1 in xs1:
+        for x2 in xs2:
+            result = crosscheck(bundle, (x1, x2), ts)
+            direct = np.broadcast_to(result.direct, ts.shape)
+            closed = np.broadcast_to(result.closed_form, ts.shape)
+            gap = np.broadcast_to(result.relative_gap, ts.shape)
+            rows.extend((x1, x2, t, dv, cv, gv) for t, dv, cv, gv in zip(ts, direct, closed, gap))
+    return ["x1", "x2", "t", "direct", "closed_form", "gap"], rows
+
+
+def reference_write_csv(path, header, rows):
+    """The per-value writer: one {:.17g} f-string per value."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(",".join(header) + "\n")
+        for row in rows:
+            handle.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+def assert_bitwise_table(table, rows):
+    expected = np.array(rows, dtype=float)
+    assert table.dtype == np.float64
+    assert table.shape == expected.shape
+    assert table.tobytes() == expected.tobytes()
+
+
+class TestScanTable:
+    @pytest.mark.parametrize("what", ["residual", "crosscheck"])
+    @pytest.mark.parametrize("name", sorted(WITNESSES))
+    def test_equals_per_point_loop(self, name, what):
+        bundle = WITNESSES[name]()
+        header, table = cli._scan_rows(bundle, what)
+        ref_header, rows = reference_scan_rows(bundle, what)
+        assert header == ref_header
+        assert_bitwise_table(table, rows)
+
+    @pytest.mark.parametrize("what", ["residual", "crosscheck"])
+    def test_equals_per_point_loop_doubled(self, what):
+        base = make_irreversible_bundle()
+        bundle = MetricBundle(base.metric, base.form, base.phi, base.sampling.doubled())
+        _, table = cli._scan_rows(bundle, what)
+        _, rows = reference_scan_rows(bundle, what)
+        assert table.shape == (42 * 42 * 128, 6 if what == "crosscheck" else 4)
+        assert_bitwise_table(table, rows)
+
+    @pytest.mark.parametrize("what", ["E", "F"])
+    def test_profile_scan_is_a_table(self, what):
+        bundle = make_class_b_bundle()
+        header, table = cli._scan_rows(bundle, what)
+        assert header == ["s", "E", "F"]
+        assert table.shape == (bundle.sampling.n_s, 3)
+
+    @pytest.mark.parametrize("what", ["residual", "crosscheck"])
+    def test_domain_error_names_first_failing_point_in_row_order(self, what):
+        # d(b1)/dx1 divides by zero on the line x1 = 0 and d(b1)/dx2 on the
+        # line x2 = -0.5; validation only evaluates b1 itself and passes.
+        metric = IsothermalMetric.from_text("0", Rectangle(-1.0, 1.0, -1.0, 1.0))
+        form = LinearForm.from_text("0.05*sqrt(x1^2) + 0.05*sqrt((x2 + 0.5)^2)", "0.1")
+        bundle = MetricBundle(metric, form, PhiFunction.matsumoto(0.4))
+        assert bundle.validate().passed
+        with pytest.raises(EvalDomainError) as expected:
+            reference_scan_rows(bundle, what)
+        with pytest.raises(EvalDomainError) as got:
+            cli._scan_rows(bundle, what)
+        assert str(got.value) == str(expected.value)
+        # x1 is the outer loop: the first failure sits on the row x1 = -1
+        assert str(got.value).endswith("at x1=-1.0, x2=-0.5")
+
+
+SPECIAL_VALUES = [-0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e300, 0.1, -1.0 / 3.0]
+
+
+def csv_bytes(tmp_path, writer, header, rows, name):
+    path = tmp_path / name
+    writer(str(path), header, rows)
+    return path.read_bytes()
+
+
+class TestWriteCsv:
+    def check(self, tmp_path, header, rows, table=None):
+        want = csv_bytes(tmp_path, reference_write_csv, header, rows, "want.csv")
+        got_rows = csv_bytes(tmp_path, cli.write_csv, header, rows, "rows.csv")
+        assert got_rows == want
+        if table is not None:
+            assert csv_bytes(tmp_path, cli.write_csv, header, table, "table.csv") == want
+        return want
+
+    def test_special_values(self, tmp_path):
+        rows = [(float(i), v, -v) for i, v in enumerate(SPECIAL_VALUES)]
+        want = self.check(tmp_path, ["step", "a", "b"], rows, np.array(rows))
+        assert b"\n0,-0,0\n" in want
+        assert b",nan,nan\n" in want
+        assert b",inf,-inf\n" in want
+        assert b",4.9406564584124654e-324," in want
+
+    def test_integer_step_column(self, tmp_path):
+        samples = np.random.default_rng(3).normal(size=(50, 2))
+        steps = np.arange(50, dtype=float)
+        rows = [(float(i), p[0], p[1]) for i, p in enumerate(samples)]
+        want = self.check(tmp_path, ["step", "x1", "x2"], rows, np.column_stack((steps, samples)))
+        assert want.splitlines()[-1].startswith(b"49,")
+        # Python ints format like the floats they convert to
+        int_rows = [(i, 2 * i, 3) for i in range(20)]
+        self.check(tmp_path, ["a", "b", "c"], int_rows, np.array(int_rows))
+
+    def test_zero_rows(self, tmp_path):
+        want = self.check(tmp_path, ["s", "b", "m"], [], np.empty((0, 3)))
+        assert want == b"s,b,m\n"
+
+    def test_rows_across_blocks(self, tmp_path):
+        n = 2 * cli.CSV_BLOCK_ROWS + 17
+        values = np.random.default_rng(5).normal(size=(n, 3)) * np.logspace(-300, 300, n)[:, None]
+        rows = [tuple(map(float, row)) for row in values]
+        want = self.check(tmp_path, ["a", "b", "c"], rows, values)
+        assert want.count(b"\n") == n + 1
+        # a generator is consumed block by block
+        got = csv_bytes(tmp_path, cli.write_csv, ["a", "b", "c"], (row for row in rows), "gen.csv")
+        assert got == want
+
+    def test_width_mismatch_is_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            cli.write_csv(str(tmp_path / "bad.csv"), ["a", "b"], np.zeros((4, 3)))
