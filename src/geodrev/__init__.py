@@ -10,8 +10,6 @@ from .scalarfield import (
     parse_expr,
 )
 from .metric import (
-    BundleValidationReport,
-    EvenOddDecomposition,
     FinslerValidationError,
     IsothermalMetric,
     LinearForm,
@@ -19,7 +17,6 @@ from .metric import (
     PhiFunction,
     Rectangle,
     Sampling,
-    ValidationReport,
     beta_on_indicatrix,
     even_odd_decompose,
     indicatrix_p,
@@ -27,11 +24,8 @@ from .metric import (
     validate_finsler,
 )
 from .reversibility import (
-    Classification,
     InconsistentEvidenceError,
-    MCoefficients,
     Verdict,
-    ZeroTest,
     calE,
     calF,
     classify,
@@ -45,10 +39,6 @@ from .reversibility import (
 )
 from .frames import (
     ConvexityError,
-    CoframeAtPoint,
-    CrosscheckResult,
-    DirectionalDerivs,
-    FrameIntermediates,
     alpha_coframe,
     crosscheck,
     directional_derivs,

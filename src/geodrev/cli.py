@@ -28,8 +28,8 @@ from .geodesics import (
     path_prefix,
     relaunch,
 )
-from .metric import FinslerValidationError, MetricBundle
-from .reversibility import InconsistentEvidenceError, calE, calF, classify, residual
+from .metric import FinslerValidationError, MetricBundle, _ec1_margin, _triangular_grid, sample_grid
+from .reversibility import InconsistentEvidenceError, _ladder, classify, residual
 from .scalarfield import EvalDomainError
 
 EXIT_OK = 0
@@ -84,18 +84,20 @@ def cmd_validate(args) -> int:
 
 
 def _write_validation_csv(path: str, bundle: MetricBundle) -> None:
-    phi = bundle.phi
+    """Write the convexity margin on validate_finsler's (s, b) grid.
+
+    Each b is a block of rows; a block that leaves the profile's domain is
+    written as NaN.
+    """
     n = max(bundle.sampling.n_s, 64)
-    rows = []
-    bs = phi.b0 * (np.arange(1, n + 1) / (n + 1.0))
-    for b in bs:
-        s = np.linspace(-b, b, n)
+    s, b = (v.reshape(n, n) for v in _triangular_grid(bundle.phi.b0, n))
+    margin = np.full_like(s, np.nan)
+    for i in range(n):
         try:
-            margin = phi.phi(s=s) - s * phi.d1(s=s) + (b * b - s * s) * phi.d2(s=s)
+            margin[i] = _ec1_margin(bundle.phi, s[i], b[i])
         except EvalDomainError:
-            margin = np.full_like(s, float("nan"))
-        rows.extend((float(sv), float(b), float(m)) for sv, m in zip(s, np.broadcast_to(margin, s.shape)))
-    write_csv(path, ["s", "b", "ec1_margin"], rows)
+            pass
+    write_csv(path, ["s", "b", "ec1_margin"], np.column_stack((s.ravel(), b.ravel(), margin.ravel())))
 
 
 def cmd_classify(args) -> int:
@@ -115,8 +117,9 @@ def _scan_rows(bundle: MetricBundle, what: str) -> tuple[list[str], np.ndarray]:
     report = bundle.validate()
     if what in ("E", "F"):
         s = np.linspace(-report.b_sup, report.b_sup, sampling.n_s)
-        e_vals = np.broadcast_to(calE(bundle.phi, s), s.shape)
-        f_vals = np.broadcast_to(calF(bundle.phi, s, report.b_sup), s.shape)
+        ladder = _ladder(bundle.phi, s)
+        e_vals = np.broadcast_to(ladder.E(), s.shape)
+        f_vals = np.broadcast_to(ladder.F(report.b_sup), s.shape)
         return ["s", "E", "F"], np.column_stack((s, e_vals, f_vals))
     if what == "residual":
         header = ["x1", "x2", "t", "residual"]
@@ -132,11 +135,7 @@ def _scan_rows(bundle: MetricBundle, what: str) -> tuple[list[str], np.ndarray]:
     else:
         raise ConfigError(f"unknown scan kind {what!r}")
 
-    xs1, xs2 = bundle.base_grid()
-    g1, g2 = np.meshgrid(xs1, xs2, indexing="ij")
-    X1 = g1.reshape(-1, 1)
-    X2 = g2.reshape(-1, 1)
-    t = bundle.t_grid()[None, :]
+    X1, X2, t = sample_grid(bundle.metric.domain, sampling)
     try:
         values = evaluate(X1, X2, t)
     except EvalDomainError:

@@ -23,7 +23,6 @@ Strings are double-quoted, numbers are plain decimals.  Example:
     [geodesics]               # optional
     T = 1.0
     h = 0.001
-    seeds = 8
 """
 
 from __future__ import annotations
@@ -117,7 +116,6 @@ class ExperimentConfig:
     sampling: Sampling
     T: float
     h: float
-    seeds: int
 
     def build_phi(self) -> PhiFunction:
         if self.phi_kind == "randers":
@@ -234,11 +232,8 @@ def parse_config(text: str) -> ExperimentConfig:
     geo = section("geodesics", required=False)
     T = geo.get("T", float, 1.0)
     h = geo.get("h", float, 1e-3)
-    seeds = geo.get("seeds", int, 8)
     if T <= 0 or h <= 0:
         raise ConfigError("T and h must be positive")
-    if seeds < 1:
-        raise ConfigError("seeds must be at least 1")
 
     _check_expression(nu_text, ("x1", "x2"), "nu")
     _check_expression(b1_text, ("x1", "x2"), "b1")
@@ -257,5 +252,4 @@ def parse_config(text: str) -> ExperimentConfig:
         sampling=sampling,
         T=T,
         h=h,
-        seeds=seeds,
     )

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import IsothermalMetric, MetricBundle, PhiFunction
+from .metric import IsothermalMetric, MetricBundle, PhiFunction, beta_on_indicatrix
 from .reversibility import PointData, _residual_from_point, point_data
 from .scalarfield import (
     Expr,
@@ -56,9 +56,6 @@ class CoframeAtPoint:
     """Rows express three 1-forms in the coordinate cobasis (dx1, dx2, dt)."""
 
     rows: np.ndarray  # shape (3, 3)
-
-    def row(self, i: int) -> np.ndarray:
-        return self.rows[i]
 
 
 def alpha_coframe(metric: IsothermalMetric, x, t) -> CoframeAtPoint:
@@ -191,10 +188,9 @@ def _frame_combine(pd: PointData, cd: _CoordData, t) -> DirectionalDerivs:
     )
 
 
-def directional_grid(bundle: MetricBundle, X1, X2, t) -> DirectionalDerivs:
+def directional_grid(pd: PointData, phi: PhiFunction, t) -> DirectionalDerivs:
     """Vectorized closed-form directional derivatives over base x fiber grids."""
-    pd = point_data(bundle.form, bundle.metric, X1, X2)
-    return _frame_combine(pd, _coord_data(pd, bundle.phi, t), t)
+    return _frame_combine(pd, _coord_data(pd, phi, t), t)
 
 
 def _frame_fd_derivs(bundle: MetricBundle, x, t) -> DirectionalDerivs:
@@ -210,7 +206,7 @@ def _frame_fd_derivs(bundle: MetricBundle, x, t) -> DirectionalDerivs:
     h3 = 1e-3 * scale
 
     def p(q):
-        beta, _, _ = _beta_at(bundle, q)
+        beta, _, _ = beta_on_indicatrix(bundle, q[:2], q[2])
         return float(bundle.phi.phi(s=beta))
 
     frame = dual_frame(bundle.metric, (x[0], x[1]), t)
@@ -244,20 +240,12 @@ def _frame_fd_derivs(bundle: MetricBundle, x, t) -> DirectionalDerivs:
     )
 
 
-def _beta_at(bundle: MetricBundle, q):
-    env = {"x1": q[0], "x2": q[1]}
-    e_mnu = np.exp(-bundle.metric.nu.eval(env))
-    b1 = bundle.form.b1.eval(env)
-    b2 = bundle.form.b2.eval(env)
-    ct, st = np.cos(q[2]), np.sin(q[2])
-    return e_mnu * (b1 * ct + b2 * st), e_mnu * (-b1 * st + b2 * ct), e_mnu * np.hypot(b1, b2)
-
-
 def directional_derivs(
     bundle: MetricBundle, x, t, mode: str = "closed_form"
 ) -> DirectionalDerivs:
     if mode == "closed_form":
-        return directional_grid(bundle, x[0], x[1], t)
+        pd = point_data(bundle.form, bundle.metric, x[0], x[1])
+        return directional_grid(pd, bundle.phi, t)
     if mode == "frame_fd":
         return _frame_fd_derivs(bundle, x, t)
     raise ValueError(f"unknown mode {mode!r}")

@@ -14,7 +14,7 @@ and the identity beta_t^2 = b^2 - beta^2 holds pointwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -139,6 +139,11 @@ def _triangular_grid(b0: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(s_list), np.concatenate(b_list)
 
 
+def _ec1_margin(phi: PhiFunction, s, b):
+    """Convexity margin phi - s*phi' + (b^2 - s^2)*phi'' at the pairs (s, b)."""
+    return phi.phi(s=s) - s * phi.d1(s=s) + (b * b - s * s) * phi.d2(s=s)
+
+
 def _locate_domain_witness(phi: PhiFunction, s_values: np.ndarray) -> dict:
     for s in s_values:
         try:
@@ -167,11 +172,7 @@ def validate_finsler(phi: PhiFunction, grid_n: int = 201) -> ValidationReport:
         phi_line = np.asarray(phi.phi(s=s_line), dtype=float)
         d1_line = np.asarray(phi.d1(s=s_line), dtype=float)
         ec2 = phi_line - s_line * d1_line
-        ec1 = (
-            np.asarray(phi.phi(s=s_tri), dtype=float)
-            - s_tri * np.asarray(phi.d1(s=s_tri), dtype=float)
-            + (b_tri * b_tri - s_tri * s_tri) * np.asarray(phi.d2(s=s_tri), dtype=float)
-        )
+        ec1 = _ec1_margin(phi, s_tri, b_tri)
     except EvalDomainError:
         witness = _locate_domain_witness(phi, np.concatenate([s_line, s_tri]))
         return ValidationReport(
@@ -303,6 +304,20 @@ class Sampling:
         return Sampling(2 * self.n_x1, 2 * self.n_x2, 2 * self.n_t, 2 * self.n_s, self.eps_zero)
 
 
+def sample_grid(domain: Rectangle, sampling: Sampling) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Base x fiber grid on which the criterion is sampled.
+
+    Returns X1 and X2 as (n_x1*n_x2, 1) columns, x1 outermost, and t as a
+    (1, n_t) row of angles in [0, 2 pi), so that broadcasting them gives
+    one row per base point and one column per fiber angle.
+    """
+    xs1 = np.linspace(domain.x1min, domain.x1max, sampling.n_x1)
+    xs2 = np.linspace(domain.x2min, domain.x2max, sampling.n_x2)
+    g1, g2 = np.meshgrid(xs1, xs2, indexing="ij")
+    t = np.linspace(0.0, 2.0 * np.pi, sampling.n_t, endpoint=False)
+    return g1.reshape(-1, 1), g2.reshape(-1, 1), t[None, :]
+
+
 @dataclass(frozen=True)
 class BundleValidationReport:
     phi_report: ValidationReport
@@ -334,15 +349,6 @@ class MetricBundle:
         self.sampling = sampling
         self._report: Optional[BundleValidationReport] = None
 
-    def base_grid(self, oversample: int = 1) -> tuple[np.ndarray, np.ndarray]:
-        d = self.metric.domain
-        xs1 = np.linspace(d.x1min, d.x1max, oversample * self.sampling.n_x1)
-        xs2 = np.linspace(d.x2min, d.x2max, oversample * self.sampling.n_x2)
-        return xs1, xs2
-
-    def t_grid(self, factor: int = 1) -> np.ndarray:
-        return np.linspace(0.0, 2.0 * np.pi, factor * self.sampling.n_t, endpoint=False)
-
     def b_norm(self, x1, x2):
         """Riemannian length b(x) of the form, e^{-nu} * sqrt(b1^2 + b2^2)."""
         env = {"x1": x1, "x2": x2}
@@ -351,9 +357,10 @@ class MetricBundle:
         return np.exp(-self.metric.nu.eval(env)) * np.hypot(b1, b2)
 
     def b_sup(self) -> float:
-        xs1, xs2 = self.base_grid(oversample=3)
-        g1, g2 = np.meshgrid(xs1, xs2, indexing="ij")
-        return float(np.max(self.b_norm(g1.ravel(), g2.ravel())))
+        """Max of b(x) on a base grid three times finer than the sampling's."""
+        fine = replace(self.sampling, n_x1=3 * self.sampling.n_x1, n_x2=3 * self.sampling.n_x2)
+        X1, X2, _ = sample_grid(self.metric.domain, fine)
+        return float(np.max(self.b_norm(X1, X2)))
 
     def validate(self) -> BundleValidationReport:
         if self._report is None:

@@ -34,6 +34,7 @@ from .metric import (
     PhiFunction,
     Sampling,
     even_odd_decompose,
+    sample_grid,
     zero_threshold,
 )
 
@@ -42,8 +43,28 @@ from .metric import (
 # Profile-level quantities
 
 
-def calE(phi: PhiFunction, s):
-    """Odd obstruction E(s); zero exactly for profiles of the form even + c*s."""
+@dataclass(frozen=True)
+class _Ladder:
+    """phi, phi' and phi'' at +s and -s, and the product term E and F share."""
+
+    s: np.ndarray
+    pp: np.ndarray
+    pm: np.ndarray
+    d1p: np.ndarray
+    d1m: np.ndarray
+    d2p: np.ndarray
+    d2m: np.ndarray
+    cross: np.ndarray  # phi'(s)*phi''(-s) + phi'(-s)*phi''(s)
+
+    def E(self):
+        return self.s * self.cross + (self.pm * self.d2p - self.pp * self.d2m)
+
+    def F(self, b):
+        return (b * b - self.s * self.s) * self.cross + (self.pm * self.d1p + self.pp * self.d1m)
+
+
+def _ladder(phi: PhiFunction, s) -> _Ladder:
+    """Check |s| < b0 and evaluate the six profile fields at +-s once."""
     phi.check_s(s)
     pp = phi.phi(s=s)
     pm = phi.phi(s=-s)
@@ -51,19 +72,17 @@ def calE(phi: PhiFunction, s):
     d1m = phi.d1(s=-s)
     d2p = phi.d2(s=s)
     d2m = phi.d2(s=-s)
-    return s * (d1p * d2m + d1m * d2p) + (pm * d2p - pp * d2m)
+    return _Ladder(s, pp, pm, d1p, d1m, d2p, d2m, d1p * d2m + d1m * d2p)
+
+
+def calE(phi: PhiFunction, s):
+    """Odd obstruction E(s); zero exactly for profiles of the form even + c*s."""
+    return _ladder(phi, s).E()
 
 
 def calF(phi: PhiFunction, s, b):
     """Even companion F(s, b); zero exactly for even profiles."""
-    phi.check_s(s)
-    pp = phi.phi(s=s)
-    pm = phi.phi(s=-s)
-    d1p = phi.d1(s=s)
-    d1m = phi.d1(s=-s)
-    d2p = phi.d2(s=s)
-    d2m = phi.d2(s=-s)
-    return (b * b - s * s) * (d1p * d2m + d1m * d2p) + (pm * d1p + pp * d1m)
+    return _ladder(phi, s).F(b)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +185,8 @@ def _residual_from_point(pd: PointData, phi: PhiFunction, t):
     b = pd.e_mnu * np.hypot(pd.b1, pd.b2)
     curl = pd.db2_dx1 - pd.db1_dx2
     m = _m_direct_from_point(pd, t)
-    return beta_t * calE(phi, beta) * m + calF(phi, beta, b) * pd.e_mnu * curl
+    ladder = _ladder(phi, beta)
+    return beta_t * ladder.E() * m + ladder.F(b) * pd.e_mnu * curl
 
 
 def residual(bundle: MetricBundle, x, t):
@@ -279,19 +299,13 @@ def classify(bundle: MetricBundle, sampling: Optional[Sampling] = None) -> Class
     eps0 = sampling.eps_zero
     report = bundle.validate()
 
-    d = bundle.metric.domain
-    xs1 = np.linspace(d.x1min, d.x1max, sampling.n_x1)
-    xs2 = np.linspace(d.x2min, d.x2max, sampling.n_x2)
-    g1, g2 = np.meshgrid(xs1, xs2, indexing="ij")
-    X1 = g1.ravel()[:, None]
-    X2 = g2.ravel()[:, None]
-    t = np.linspace(0.0, 2.0 * np.pi, sampling.n_t, endpoint=False)[None, :]
-
+    X1, X2, t = sample_grid(bundle.metric.domain, sampling)
     pd = point_data(bundle.form, bundle.metric, X1, X2)
     s_grid = np.linspace(-report.b_sup, report.b_sup, sampling.n_s)
 
-    even_gap = bundle.phi.phi(s=s_grid) - bundle.phi.phi(s=-s_grid)
-    e_values = calE(bundle.phi, s_grid)
+    ladder = _ladder(bundle.phi, s_grid)
+    even_gap = ladder.pp - ladder.pm
+    e_values = ladder.E()
     curl_values = pd.db2_dx1 - pd.db1_dx2
     m_values = _m_direct_from_point(pd, t)
     b_variation = max(
@@ -302,7 +316,7 @@ def classify(bundle: MetricBundle, sampling: Optional[Sampling] = None) -> Class
     nu_variation = float(np.ptp(pd.nu)) if np.ndim(pd.nu) else 0.0
     nu_scale = float(np.max(np.abs(pd.nu)))
 
-    derivs = directional_grid(bundle, X1, X2, t)
+    derivs = directional_grid(pd, bundle.phi, t)
     m2_values = derivs.p32 - derivs.p1
     residual_values = _residual_from_point(pd, bundle.phi, t)
 

@@ -162,6 +162,19 @@ class TestConfigParsing:
         cfg = parse_config(CLASS_A_CONFIG)
         assert cfg.nu_text.startswith("-ln")
 
+    def test_former_seeds_key_is_ignored(self, tmp_path, capsys):
+        """A config that still carries [geodesics] seeds loads and classifies as before."""
+        with_seeds = CLASS_A_CONFIG + "\n[geodesics]\nT = 1.0\nseeds = 8\n"
+        cfg = parse_config(with_seeds)
+        assert not hasattr(cfg, "seeds")
+        assert cfg == parse_config(CLASS_A_CONFIG)
+        outputs = []
+        for name, text in (("plain.cfg", CLASS_A_CONFIG), ("seeds.cfg", with_seeds)):
+            assert main(["classify", write(tmp_path, text, name)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith("verdict: ClassA")
+
 
 class TestValidateCommand:
     def test_passing_config(self, tmp_path, capsys):

@@ -32,7 +32,7 @@ def reference_scan_rows(bundle, what):
     d = bundle.metric.domain
     xs1 = np.linspace(d.x1min, d.x1max, sampling.n_x1)
     xs2 = np.linspace(d.x2min, d.x2max, sampling.n_x2)
-    ts = bundle.t_grid()
+    ts = np.linspace(0.0, 2.0 * np.pi, sampling.n_t, endpoint=False)
     rows = []
     if what == "residual":
         for x1 in xs1:
