@@ -4,10 +4,7 @@ from .scalarfield import (
     EvalDomainError,
     ExpressionError,
     ParseError,
-    ScalarField,
     UnknownVariableError,
-    fd_check,
-    parse_expr,
 )
 from .metric import (
     FinslerValidationError,
@@ -59,6 +56,6 @@ from .geodesics import (
     riemann_geodesic,
     spray,
 )
-from .config import ConfigError, ExperimentConfig, load_config, parse_config
+from .config import ConfigError
 
 __version__ = "0.1.0"

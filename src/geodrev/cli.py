@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from itertools import islice
 
 import numpy as np
 
@@ -42,30 +41,20 @@ EXIT_TRUNCATED = 3
 CSV_BLOCK_ROWS = 4096
 
 
-def _row_blocks(rows, width: int):
-    """(k, width) float64 blocks of at most CSV_BLOCK_ROWS rows, in order."""
-    if isinstance(rows, np.ndarray):
-        blocks = (rows[i : i + CSV_BLOCK_ROWS] for i in range(0, len(rows), CSV_BLOCK_ROWS))
-    else:
-        rows = iter(rows)
-        blocks = iter(lambda: list(islice(rows, CSV_BLOCK_ROWS)), [])
-    for block in blocks:
-        block = np.asarray(block, dtype=float)
-        if block.ndim != 2 or block.shape[1] != width:
-            raise ValueError(f"rows of {width} values expected, got a block of shape {block.shape}")
-        yield block
-
-
-def write_csv(path: str, header: list[str], rows) -> None:
+def write_csv(path: str, header: list[str], rows: np.ndarray) -> None:
     """Write a header line, then one line per row, every value as %.17g.
 
-    ``rows`` is a (rows, len(header)) array or an iterable of rows.
+    ``rows`` is a (rows, len(header)) array.
     """
     width = len(header)
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != width:
+        raise ValueError(f"rows of {width} values expected, got an array of shape {rows.shape}")
     line = ",".join(["%.17g"] * width) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
-        for block in _row_blocks(rows, width):
+        for i in range(0, len(rows), CSV_BLOCK_ROWS):
+            block = rows[i : i + CSV_BLOCK_ROWS]
             handle.write(line * len(block) % tuple(block.ravel().tolist()))
 
 

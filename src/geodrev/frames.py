@@ -24,7 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metric import IsothermalMetric, MetricBundle, PhiFunction, beta_on_indicatrix
-from .reversibility import PointData, _residual_from_point, point_data
+from .reversibility import (
+    PointData,
+    _Fiber,
+    _fiber,
+    _ladder,
+    _m_direct_from_point,
+    _residual_from_point,
+    point_data,
+)
 from .scalarfield import (
     Expr,
     Var,
@@ -109,88 +117,79 @@ class DirectionalDerivs:
 
 @dataclass(frozen=True)
 class _CoordData:
-    """Coordinate partials of p at one fiber angle, plus the inputs they used."""
+    """Coordinate partials of p to second order at one fiber angle."""
 
-    beta: np.ndarray
-    beta_t: np.ndarray
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
     d: np.ndarray
     f0: np.ndarray  # phi(beta)
-    f1: np.ndarray
-    f2: np.ndarray
     dp_dx1: np.ndarray
     dp_dx2: np.ndarray
     dp_dt: np.ndarray
     dp_dx1dt: np.ndarray
     dp_dx2dt: np.ndarray
     dp_dtt: np.ndarray
-    dp_dttt: np.ndarray
-    dp_dx1dtt: np.ndarray
-    dp_dx2dtt: np.ndarray
 
 
-def _coord_data(pd: PointData, phi: PhiFunction, t) -> _CoordData:
-    ct, st = np.cos(t), np.sin(t)
-    beta = pd.e_mnu * (pd.b1 * ct + pd.b2 * st)
-    beta_t = pd.e_mnu * (-pd.b1 * st + pd.b2 * ct)
-    big_a = pd.e_mnu * (pd.db1_dx1 * ct + pd.db2_dx1 * st)
-    big_b = pd.e_mnu * (pd.db1_dx2 * ct + pd.db2_dx2 * st)
-    big_c = pd.e_mnu * (-pd.db1_dx1 * st + pd.db2_dx1 * ct)
-    big_d = pd.e_mnu * (-pd.db1_dx2 * st + pd.db2_dx2 * ct)
-    a = big_a - pd.nu1 * beta
-    b = big_b - pd.nu2 * beta
-    c = big_c - pd.nu1 * beta_t
-    d = big_d - pd.nu2 * beta_t
-    phi.check_s(beta)
-    f0 = phi.phi(s=beta)
-    f1 = phi.d1(s=beta)
-    f2 = phi.d2(s=beta)
-    f3 = phi.d3(s=beta)
-    bt2 = beta_t * beta_t
+def _coord_data(pd: PointData, fb: _Fiber, f0, f1, f2) -> _CoordData:
+    """Partials of p from phi, phi' and phi'' (f0, f1, f2) at the fiber's beta."""
+    ct, st, beta, beta_t = fb.ct, fb.st, fb.beta, fb.beta_t
+    a = pd.e_mnu * (pd.db1_dx1 * ct + pd.db2_dx1 * st) - pd.nu1 * beta
+    b = pd.e_mnu * (pd.db1_dx2 * ct + pd.db2_dx2 * st) - pd.nu2 * beta
+    c = pd.e_mnu * (-pd.db1_dx1 * st + pd.db2_dx1 * ct) - pd.nu1 * beta_t
+    d = pd.e_mnu * (-pd.db1_dx2 * st + pd.db2_dx2 * ct) - pd.nu2 * beta_t
     return _CoordData(
-        beta=beta,
-        beta_t=beta_t,
         a=a,
         b=b,
         c=c,
         d=d,
         f0=f0,
-        f1=f1,
-        f2=f2,
         dp_dx1=f1 * a,
         dp_dx2=f1 * b,
         dp_dt=f1 * beta_t,
         dp_dx1dt=f2 * beta_t * a + f1 * c,
         dp_dx2dt=f2 * beta_t * b + f1 * d,
-        dp_dtt=f2 * bt2 - f1 * beta,
-        dp_dttt=f3 * beta_t * bt2 - 3.0 * f2 * beta * beta_t - f1 * beta_t,
-        dp_dx1dtt=f3 * a * bt2 + 2.0 * f2 * beta_t * c - f2 * a * beta - f1 * a,
-        dp_dx2dtt=f3 * b * bt2 + 2.0 * f2 * beta_t * d - f2 * b * beta - f1 * b,
+        dp_dtt=f2 * (beta_t * beta_t) - f1 * beta,
     )
 
 
-def _frame_combine(pd: PointData, cd: _CoordData, t) -> DirectionalDerivs:
-    ct, st = np.cos(t), np.sin(t)
-    nu_plus = pd.nu1 * ct + pd.nu2 * st
-    nu_minus = pd.nu2 * ct - pd.nu1 * st
-    return DirectionalDerivs(
-        p=cd.f0,
-        p1=pd.e_mnu * (-cd.dp_dx1 * st + cd.dp_dx2 * ct - cd.dp_dt * nu_plus),
-        p2=pd.e_mnu * (cd.dp_dx1 * ct + cd.dp_dx2 * st + cd.dp_dt * nu_minus),
-        p3=cd.dp_dt,
-        p31=pd.e_mnu * (-cd.dp_dx1dt * st + cd.dp_dx2dt * ct - cd.dp_dtt * nu_plus),
-        p32=pd.e_mnu * (cd.dp_dx1dt * ct + cd.dp_dx2dt * st + cd.dp_dtt * nu_minus),
-        p33=cd.dp_dtt,
-        p332=pd.e_mnu * (cd.dp_dx1dtt * ct + cd.dp_dx2dtt * st + cd.dp_dttt * nu_minus),
-        p333=cd.dp_dttt,
-    )
+def _coord_at(pd: PointData, phi: PhiFunction, fb: _Fiber) -> _CoordData:
+    """_coord_data with phi, phi' and phi'' evaluated at the fiber's beta."""
+    phi.check_s(fb.beta)
+    return _coord_data(pd, fb, phi.phi(s=fb.beta), phi.d1(s=fb.beta), phi.d2(s=fb.beta))
+
+
+def _p1(pd: PointData, fb: _Fiber, cd: _CoordData):
+    return pd.e_mnu * (-cd.dp_dx1 * fb.st + cd.dp_dx2 * fb.ct - cd.dp_dt * fb.nu_plus)
+
+
+def _p32(pd: PointData, fb: _Fiber, cd: _CoordData):
+    return pd.e_mnu * (cd.dp_dx1dt * fb.ct + cd.dp_dx2dt * fb.st + cd.dp_dtt * fb.nu_minus)
 
 
 def directional_grid(pd: PointData, phi: PhiFunction, t) -> DirectionalDerivs:
     """Vectorized closed-form directional derivatives over base x fiber grids."""
-    return _frame_combine(pd, _coord_data(pd, phi, t), t)
+    fb = _fiber(pd, t)
+    ct, st, beta, beta_t = fb.ct, fb.st, fb.beta, fb.beta_t
+    phi.check_s(beta)
+    f0, f1, f2, f3 = (field(s=beta) for field in (phi.phi, phi.d1, phi.d2, phi.d3))
+    cd = _coord_data(pd, fb, f0, f1, f2)
+    bt2 = beta_t * beta_t
+    dp_dttt = f3 * beta_t * bt2 - 3.0 * f2 * beta * beta_t - f1 * beta_t
+    dp_dx1dtt = f3 * cd.a * bt2 + 2.0 * f2 * beta_t * cd.c - f2 * cd.a * beta - f1 * cd.a
+    dp_dx2dtt = f3 * cd.b * bt2 + 2.0 * f2 * beta_t * cd.d - f2 * cd.b * beta - f1 * cd.b
+    return DirectionalDerivs(
+        p=f0,
+        p1=_p1(pd, fb, cd),
+        p2=pd.e_mnu * (cd.dp_dx1 * ct + cd.dp_dx2 * st + cd.dp_dt * fb.nu_minus),
+        p3=cd.dp_dt,
+        p31=pd.e_mnu * (-cd.dp_dx1dt * st + cd.dp_dx2dt * ct - cd.dp_dtt * fb.nu_plus),
+        p32=_p32(pd, fb, cd),
+        p33=cd.dp_dtt,
+        p332=pd.e_mnu * (dp_dx1dtt * ct + dp_dx2dtt * st + dp_dttt * fb.nu_minus),
+        p333=dp_dttt,
+    )
 
 
 def _frame_fd_derivs(bundle: MetricBundle, x, t) -> DirectionalDerivs:
@@ -302,9 +301,10 @@ class FrameIntermediates:
 
 def frame_intermediates(bundle: MetricBundle, x, t) -> FrameIntermediates:
     pd = point_data(bundle.form, bundle.metric, x[0], x[1])
-    cp = _coord_data(pd, bundle.phi, t)
-    cr = _coord_data(pd, bundle.phi, np.asarray(t) + np.pi)
-    ct, st = np.cos(t), np.sin(t)
+    fb = _fiber(pd, t)
+    cp = _coord_at(pd, bundle.phi, fb)
+    cr = _coord_at(pd, bundle.phi, _fiber(pd, np.asarray(t) + np.pi))
+    ct, st = fb.ct, fb.st
     t1 = ct * (cp.dp_dx1dt - cp.dp_dx2) + st * (cp.dp_dx2dt + cp.dp_dx1)
     t2 = ct * (cr.dp_dx1dt - cr.dp_dx2) + st * (cr.dp_dx2dt + cr.dp_dx1)
     t3 = cp.dp_dtt * cr.f0 - cr.dp_dtt * cp.f0
@@ -316,8 +316,8 @@ def frame_intermediates(bundle: MetricBundle, x, t) -> FrameIntermediates:
         T4=t4,
         G=cp.a * ct + cp.b * st,
         H=(cp.c - cp.b) * ct + (cp.a + cp.d) * st,
-        nu_plus=pd.nu1 * ct + pd.nu2 * st,
-        nu_minus=pd.nu2 * ct - pd.nu1 * st,
+        nu_plus=fb.nu_plus,
+        nu_minus=fb.nu_minus,
     )
 
 
@@ -328,38 +328,27 @@ def ecprinc_direct(bundle: MetricBundle, x, t):
     with the frame at angle t; nothing about r is coded independently.
     """
     pd = point_data(bundle.form, bundle.metric, x[0], x[1])
-    return _ecprinc_from_point(pd, bundle.phi, t)
+    fb = _fiber(pd, t)
+    return _ecprinc_from_point(pd, bundle.phi, t, fb, _coord_at(pd, bundle.phi, fb))
 
 
-def _ecprinc_from_point(pd: PointData, phi: PhiFunction, t):
-    t = np.asarray(t, dtype=float)
-    ct, st = np.cos(t), np.sin(t)
-    nu_plus = pd.nu1 * ct + pd.nu2 * st
-    nu_minus = pd.nu2 * ct - pd.nu1 * st
+def _ecprinc_from_point(pd: PointData, phi: PhiFunction, t, fb: _Fiber, cp: _CoordData):
+    """The raw defect from the p-partials cp at angle t (fiber fb)."""
+    cr = _coord_at(pd, phi, _fiber(pd, np.asarray(t, dtype=float) + np.pi))
 
-    cp = _coord_data(pd, phi, t)
-    cr = _coord_data(pd, phi, t + np.pi)
+    def p32_minus_p1(c):
+        # one sum, not _p32 - _p1, which rounds differently; r-partials at
+        # angle t are the p-partials at t + pi, while the frame angle stays t
+        return pd.e_mnu * (
+            c.dp_dx1dt * fb.ct
+            + c.dp_dx2dt * fb.st
+            + c.dp_dtt * fb.nu_minus
+            + c.dp_dx1 * fb.st
+            - c.dp_dx2 * fb.ct
+            + c.dp_dt * fb.nu_plus
+        )
 
-    p32_minus_p1 = pd.e_mnu * (
-        cp.dp_dx1dt * ct
-        + cp.dp_dx2dt * st
-        + cp.dp_dtt * nu_minus
-        + cp.dp_dx1 * st
-        - cp.dp_dx2 * ct
-        + cp.dp_dt * nu_plus
-    )
-    # r-partials at angle t are the p-partials at t + pi; the frame angle stays t
-    r32_minus_r1 = pd.e_mnu * (
-        cr.dp_dx1dt * ct
-        + cr.dp_dx2dt * st
-        + cr.dp_dtt * nu_minus
-        + cr.dp_dx1 * st
-        - cr.dp_dx2 * ct
-        + cr.dp_dt * nu_plus
-    )
-    p_plus_p33 = cp.f0 + cp.dp_dtt
-    r_plus_r33 = cr.f0 + cr.dp_dtt
-    return p32_minus_p1 * r_plus_r33 - r32_minus_r1 * p_plus_p33
+    return p32_minus_p1(cp) * (cr.f0 + cr.dp_dtt) - p32_minus_p1(cr) * (cp.f0 + cp.dp_dtt)
 
 
 @dataclass(frozen=True)
@@ -374,11 +363,15 @@ def crosscheck(bundle: MetricBundle, x, t) -> CrosscheckResult:
 
     The two vanish together; away from the zero set the empirical ratio is
     the positive factor e^{-nu(x)}, which the relative gap accounts for.
-    Both sides share one evaluation of the base-point data.
+    Both sides share one evaluation of the base-point data and of phi,
+    phi' and phi'' at beta.
     """
     pd = point_data(bundle.form, bundle.metric, x[0], x[1])
-    direct = _ecprinc_from_point(pd, bundle.phi, t)
-    closed = _residual_from_point(pd, bundle.phi, t)
+    fb = _fiber(pd, t)
+    ladder = _ladder(bundle.phi, fb.beta)
+    closed = _residual_from_point(pd, fb, ladder, _m_direct_from_point(pd, fb))
+    cp = _coord_data(pd, fb, ladder.pp, ladder.d1p, ladder.d2p)
+    direct = _ecprinc_from_point(pd, bundle.phi, t, fb, cp)
     scaled = pd.e_mnu * np.abs(np.asarray(closed, dtype=float))
     mag = np.abs(np.asarray(direct, dtype=float))
     denom = np.maximum(np.maximum(mag, scaled), 1e-300)

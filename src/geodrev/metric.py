@@ -385,6 +385,11 @@ class MetricBundle:
 # Indicatrix-level quantities
 
 
+def _beta_pair(e_mnu, b1, b2, ct, st):
+    """(beta, beta_t) at the fiber angle with cosine ct and sine st."""
+    return e_mnu * (b1 * ct + b2 * st), e_mnu * (-b1 * st + b2 * ct)
+
+
 def beta_on_indicatrix(bundle: MetricBundle, x, t):
     """Return (beta, beta_t, b^2) at base point x and fiber angle t.
 
@@ -395,9 +400,7 @@ def beta_on_indicatrix(bundle: MetricBundle, x, t):
     e_m = np.exp(-bundle.metric.nu.eval(env))
     b1 = bundle.form.b1.eval(env)
     b2 = bundle.form.b2.eval(env)
-    ct, st = np.cos(t), np.sin(t)
-    beta = e_m * (b1 * ct + b2 * st)
-    beta_t = e_m * (-b1 * st + b2 * ct)
+    beta, beta_t = _beta_pair(e_m, b1, b2, np.cos(t), np.sin(t))
     bsq = e_m * e_m * (b1 * b1 + b2 * b2)
     return beta, beta_t, bsq
 

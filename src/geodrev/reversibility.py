@@ -33,6 +33,7 @@ from .metric import (
     MetricBundle,
     PhiFunction,
     Sampling,
+    _beta_pair,
     even_odd_decompose,
     sample_grid,
     zero_threshold,
@@ -94,7 +95,6 @@ class PointData:
     nu: np.ndarray
     nu1: np.ndarray
     nu2: np.ndarray
-    e_nu: np.ndarray
     e_mnu: np.ndarray
     b1: np.ndarray
     b2: np.ndarray
@@ -112,7 +112,6 @@ def point_data(form: LinearForm, metric: IsothermalMetric, x1, x2) -> PointData:
         nu=nu,
         nu1=metric.nu1.eval(env),
         nu2=metric.nu2.eval(env),
-        e_nu=np.exp(nu),
         e_mnu=np.exp(-nu),
         b1=form.b1.eval(env),
         b2=form.b2.eval(env),
@@ -121,6 +120,24 @@ def point_data(form: LinearForm, metric: IsothermalMetric, x1, x2) -> PointData:
         db2_dx1=form.db2_d1.eval(env),
         db2_dx2=form.db2_d2.eval(env),
     )
+
+
+@dataclass(frozen=True)
+class _Fiber:
+    """The fiber quantities at angles t over the base points of a PointData."""
+
+    ct: np.ndarray
+    st: np.ndarray
+    beta: np.ndarray
+    beta_t: np.ndarray
+    nu_plus: np.ndarray  # nu1*cos t + nu2*sin t
+    nu_minus: np.ndarray  # nu2*cos t - nu1*sin t
+
+
+def _fiber(pd: PointData, t) -> _Fiber:
+    ct, st = np.cos(t), np.sin(t)
+    beta, beta_t = _beta_pair(pd.e_mnu, pd.b1, pd.b2, ct, st)
+    return _Fiber(ct, st, beta, beta_t, pd.nu1 * ct + pd.nu2 * st, pd.nu2 * ct - pd.nu1 * st)
 
 
 def curl21(form: LinearForm, x) -> float:
@@ -152,41 +169,35 @@ def _m_coeffs_from_point(pd: PointData) -> MCoefficients:
     return MCoefficients(k1, k2, k3)
 
 
-def _m_direct_from_point(pd: PointData, t):
+def _m_direct_from_point(pd: PointData, fb: _Fiber):
     """Literal evaluation of the base obstruction M at fiber angle t.
 
     This is the form that appears in the reversibility residual; it carries
     the conformal weight, i.e. it equals e^{-nu} * (K1 + K2 cos2t + K3 sin2t).
     """
-    ct, st = np.cos(t), np.sin(t)
-    beta = pd.e_mnu * (pd.b1 * ct + pd.b2 * st)
-    beta_t = pd.e_mnu * (-pd.b1 * st + pd.b2 * ct)
+    ct, st = fb.ct, fb.st
     block = pd.e_mnu * (
         pd.db1_dx1 * ct * ct
         + st * ct * (pd.db1_dx2 + pd.db2_dx1)
         + pd.db2_dx2 * st * st
     )
-    return block + beta_t * (pd.nu2 * ct - pd.nu1 * st) - beta * (pd.nu1 * ct + pd.nu2 * st)
+    return block + fb.beta_t * fb.nu_minus - fb.beta * fb.nu_plus
 
 
 def m_direct(form: LinearForm, metric: IsothermalMetric, x, t):
     pd = point_data(form, metric, x[0], x[1])
-    return _m_direct_from_point(pd, t)
+    return _m_direct_from_point(pd, _fiber(pd, t))
 
 
 # ---------------------------------------------------------------------------
 # The reversibility residual
 
 
-def _residual_from_point(pd: PointData, phi: PhiFunction, t):
-    ct, st = np.cos(t), np.sin(t)
-    beta = pd.e_mnu * (pd.b1 * ct + pd.b2 * st)
-    beta_t = pd.e_mnu * (-pd.b1 * st + pd.b2 * ct)
+def _residual_from_point(pd: PointData, fb: _Fiber, ladder: _Ladder, m):
+    """The residual from the fiber, the profile ladder at its beta and M."""
     b = pd.e_mnu * np.hypot(pd.b1, pd.b2)
     curl = pd.db2_dx1 - pd.db1_dx2
-    m = _m_direct_from_point(pd, t)
-    ladder = _ladder(phi, beta)
-    return beta_t * ladder.E() * m + ladder.F(b) * pd.e_mnu * curl
+    return fb.beta_t * ladder.E() * m + ladder.F(b) * pd.e_mnu * curl
 
 
 def residual(bundle: MetricBundle, x, t):
@@ -197,7 +208,8 @@ def residual(bundle: MetricBundle, x, t):
     decisions (which use |residual|) are unaffected.
     """
     pd = point_data(bundle.form, bundle.metric, x[0], x[1])
-    return _residual_from_point(pd, bundle.phi, t)
+    fb = _fiber(pd, t)
+    return _residual_from_point(pd, fb, _ladder(bundle.phi, fb.beta), _m_direct_from_point(pd, fb))
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +304,7 @@ def classify(bundle: MetricBundle, sampling: Optional[Sampling] = None) -> Class
     then the locked-down base (M == 0, curl == 0, constant data), then
     base-projective triviality, and finally a frankly nonzero residual.
     """
-    from .frames import directional_grid  # local import: frames also imports us
+    from .frames import _coord_data, _p1, _p32  # local import: frames also imports us
 
     bundle.require_valid()
     sampling = sampling or bundle.sampling
@@ -301,13 +313,14 @@ def classify(bundle: MetricBundle, sampling: Optional[Sampling] = None) -> Class
 
     X1, X2, t = sample_grid(bundle.metric.domain, sampling)
     pd = point_data(bundle.form, bundle.metric, X1, X2)
+    fb = _fiber(pd, t)
     s_grid = np.linspace(-report.b_sup, report.b_sup, sampling.n_s)
 
     ladder = _ladder(bundle.phi, s_grid)
     even_gap = ladder.pp - ladder.pm
     e_values = ladder.E()
     curl_values = pd.db2_dx1 - pd.db1_dx2
-    m_values = _m_direct_from_point(pd, t)
+    m_values = _m_direct_from_point(pd, fb)
     b_variation = max(
         float(np.ptp(pd.b1)) if np.ndim(pd.b1) else 0.0,
         float(np.ptp(pd.b2)) if np.ndim(pd.b2) else 0.0,
@@ -316,9 +329,11 @@ def classify(bundle: MetricBundle, sampling: Optional[Sampling] = None) -> Class
     nu_variation = float(np.ptp(pd.nu)) if np.ndim(pd.nu) else 0.0
     nu_scale = float(np.max(np.abs(pd.nu)))
 
-    derivs = directional_grid(pd, bundle.phi, t)
-    m2_values = derivs.p32 - derivs.p1
-    residual_values = _residual_from_point(pd, bundle.phi, t)
+    # phi, phi' and phi'' at beta serve the residual and the frame partials
+    beta_ladder = _ladder(bundle.phi, fb.beta)
+    residual_values = _residual_from_point(pd, fb, beta_ladder, m_values)
+    cd = _coord_data(pd, fb, beta_ladder.pp, beta_ladder.d1p, beta_ladder.d2p)
+    m2_values = _p32(pd, fb, cd) - _p1(pd, fb, cd)
 
     evidence = {
         "M2": _zero_test(m2_values, eps0),

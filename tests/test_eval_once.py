@@ -2,11 +2,14 @@
 
 The reference implementations below are the earlier versions that
 evaluated the same quantities more than once: a residual with separate
-E and F ladders, a classify that evaluated the base-point data twice, a
-meshgrid-per-caller grid and a per-b validation CSV loop.  The current
-code must give bitwise-equal results with fewer evaluations.
+E and F ladders that also recomputed beta, beta_t and M, frame partials
+that evaluated phi, phi', phi'' and phi''' at beta on their own, a
+classify that evaluated the base-point data twice, a meshgrid-per-caller
+grid and a per-b validation CSV loop.  The current code must give
+bitwise-equal results with fewer evaluations.
 """
 
+import dataclasses
 from types import SimpleNamespace
 from typing import Optional
 
@@ -20,7 +23,6 @@ from geodrev.reversibility import (
     InconsistentEvidenceError,
     Verdict,
     ZeroTest,
-    _m_direct_from_point,
     point_data,
 )
 from geodrev.scalarfield import EvalDomainError, ScalarField
@@ -73,6 +75,18 @@ def ref_calF(phi, s, b):
     return (b * b - s * s) * (d1p * d2m + d1m * d2p) + (pm * d1p + pp * d1m)
 
 
+def ref_m_direct(pd, t):
+    ct, st = np.cos(t), np.sin(t)
+    beta = pd.e_mnu * (pd.b1 * ct + pd.b2 * st)
+    beta_t = pd.e_mnu * (-pd.b1 * st + pd.b2 * ct)
+    block = pd.e_mnu * (
+        pd.db1_dx1 * ct * ct
+        + st * ct * (pd.db1_dx2 + pd.db2_dx1)
+        + pd.db2_dx2 * st * st
+    )
+    return block + beta_t * (pd.nu2 * ct - pd.nu1 * st) - beta * (pd.nu1 * ct + pd.nu2 * st)
+
+
 def ref_residual_from_point(pd, phi, t):
     """Two ladders: E and F each evaluate phi, phi', phi'' at +-s."""
     ct, st = np.cos(t), np.sin(t)
@@ -80,8 +94,101 @@ def ref_residual_from_point(pd, phi, t):
     beta_t = pd.e_mnu * (-pd.b1 * st + pd.b2 * ct)
     b = pd.e_mnu * np.hypot(pd.b1, pd.b2)
     curl = pd.db2_dx1 - pd.db1_dx2
-    m = _m_direct_from_point(pd, t)
+    m = ref_m_direct(pd, t)
     return beta_t * ref_calE(phi, beta) * m + ref_calF(phi, beta, b) * pd.e_mnu * curl
+
+
+def ref_coord_data(pd, phi, t):
+    """Coordinate partials of p = phi(beta) to third order, phi evaluated here."""
+    ct, st = np.cos(t), np.sin(t)
+    beta = pd.e_mnu * (pd.b1 * ct + pd.b2 * st)
+    beta_t = pd.e_mnu * (-pd.b1 * st + pd.b2 * ct)
+    big_a = pd.e_mnu * (pd.db1_dx1 * ct + pd.db2_dx1 * st)
+    big_b = pd.e_mnu * (pd.db1_dx2 * ct + pd.db2_dx2 * st)
+    big_c = pd.e_mnu * (-pd.db1_dx1 * st + pd.db2_dx1 * ct)
+    big_d = pd.e_mnu * (-pd.db1_dx2 * st + pd.db2_dx2 * ct)
+    a = big_a - pd.nu1 * beta
+    b = big_b - pd.nu2 * beta
+    c = big_c - pd.nu1 * beta_t
+    d = big_d - pd.nu2 * beta_t
+    phi.check_s(beta)
+    f0 = phi.phi(s=beta)
+    f1 = phi.d1(s=beta)
+    f2 = phi.d2(s=beta)
+    f3 = phi.d3(s=beta)
+    bt2 = beta_t * beta_t
+    return SimpleNamespace(
+        a=a,
+        b=b,
+        c=c,
+        d=d,
+        f0=f0,
+        dp_dx1=f1 * a,
+        dp_dx2=f1 * b,
+        dp_dt=f1 * beta_t,
+        dp_dx1dt=f2 * beta_t * a + f1 * c,
+        dp_dx2dt=f2 * beta_t * b + f1 * d,
+        dp_dtt=f2 * bt2 - f1 * beta,
+        dp_dttt=f3 * beta_t * bt2 - 3.0 * f2 * beta * beta_t - f1 * beta_t,
+        dp_dx1dtt=f3 * a * bt2 + 2.0 * f2 * beta_t * c - f2 * a * beta - f1 * a,
+        dp_dx2dtt=f3 * b * bt2 + 2.0 * f2 * beta_t * d - f2 * b * beta - f1 * b,
+    )
+
+
+def ref_frame_combine(pd, cd, t):
+    ct, st = np.cos(t), np.sin(t)
+    nu_plus = pd.nu1 * ct + pd.nu2 * st
+    nu_minus = pd.nu2 * ct - pd.nu1 * st
+    return frames.DirectionalDerivs(
+        p=cd.f0,
+        p1=pd.e_mnu * (-cd.dp_dx1 * st + cd.dp_dx2 * ct - cd.dp_dt * nu_plus),
+        p2=pd.e_mnu * (cd.dp_dx1 * ct + cd.dp_dx2 * st + cd.dp_dt * nu_minus),
+        p3=cd.dp_dt,
+        p31=pd.e_mnu * (-cd.dp_dx1dt * st + cd.dp_dx2dt * ct - cd.dp_dtt * nu_plus),
+        p32=pd.e_mnu * (cd.dp_dx1dt * ct + cd.dp_dx2dt * st + cd.dp_dtt * nu_minus),
+        p33=cd.dp_dtt,
+        p332=pd.e_mnu * (cd.dp_dx1dtt * ct + cd.dp_dx2dtt * st + cd.dp_dttt * nu_minus),
+        p333=cd.dp_dttt,
+    )
+
+
+def ref_ecprinc(pd, phi, t):
+    """The raw defect with p32 - p1 and r32 - r1 each as one fused sum."""
+    t = np.asarray(t, dtype=float)
+    ct, st = np.cos(t), np.sin(t)
+    nu_plus = pd.nu1 * ct + pd.nu2 * st
+    nu_minus = pd.nu2 * ct - pd.nu1 * st
+    cp = ref_coord_data(pd, phi, t)
+    cr = ref_coord_data(pd, phi, t + np.pi)
+
+    def p32_minus_p1(c):
+        return pd.e_mnu * (
+            c.dp_dx1dt * ct
+            + c.dp_dx2dt * st
+            + c.dp_dtt * nu_minus
+            + c.dp_dx1 * st
+            - c.dp_dx2 * ct
+            + c.dp_dt * nu_plus
+        )
+
+    return p32_minus_p1(cp) * (cr.f0 + cr.dp_dtt) - p32_minus_p1(cr) * (cp.f0 + cp.dp_dtt)
+
+
+def ref_frame_intermediates(bundle, x, t):
+    pd = point_data(bundle.form, bundle.metric, x[0], x[1])
+    cp = ref_coord_data(pd, bundle.phi, t)
+    cr = ref_coord_data(pd, bundle.phi, np.asarray(t) + np.pi)
+    ct, st = np.cos(t), np.sin(t)
+    return frames.FrameIntermediates(
+        T1=ct * (cp.dp_dx1dt - cp.dp_dx2) + st * (cp.dp_dx2dt + cp.dp_dx1),
+        T2=ct * (cr.dp_dx1dt - cr.dp_dx2) + st * (cr.dp_dx2dt + cr.dp_dx1),
+        T3=cp.dp_dtt * cr.f0 - cr.dp_dtt * cp.f0,
+        T4=cp.dp_dt * (cr.dp_dtt + cr.f0) - cr.dp_dt * (cp.dp_dtt + cp.f0),
+        G=cp.a * ct + cp.b * st,
+        H=(cp.c - cp.b) * ct + (cp.a + cp.d) * st,
+        nu_plus=pd.nu1 * ct + pd.nu2 * st,
+        nu_minus=pd.nu2 * ct - pd.nu1 * st,
+    )
 
 
 def ref_grid(bundle, sampling):
@@ -116,7 +223,7 @@ def ref_table(bundle, what):
     if what == "residual":
         values = [closed]
     else:
-        direct = frames._ecprinc_from_point(pd, bundle.phi, t)
+        direct = ref_ecprinc(pd, bundle.phi, t)
         scaled = pd.e_mnu * np.abs(np.asarray(closed, dtype=float))
         mag = np.abs(np.asarray(direct, dtype=float))
         denom = np.maximum(np.maximum(mag, scaled), 1e-300)
@@ -144,7 +251,7 @@ def ref_classify(bundle, sampling: Optional[Sampling] = None):
     even_gap = bundle.phi.phi(s=s_grid) - bundle.phi.phi(s=-s_grid)
     e_values = ref_calE(bundle.phi, s_grid)
     curl_values = pd.db2_dx1 - pd.db1_dx2
-    m_values = _m_direct_from_point(pd, t)
+    m_values = ref_m_direct(pd, t)
     b_variation = max(
         float(np.ptp(pd.b1)) if np.ndim(pd.b1) else 0.0,
         float(np.ptp(pd.b2)) if np.ndim(pd.b2) else 0.0,
@@ -154,10 +261,18 @@ def ref_classify(bundle, sampling: Optional[Sampling] = None):
     nu_scale = float(np.max(np.abs(pd.nu)))
 
     pd_frames = point_data(bundle.form, bundle.metric, X1, X2)
-    derivs = frames._frame_combine(pd_frames, frames._coord_data(pd_frames, bundle.phi, t), t)
+    derivs = ref_frame_combine(pd_frames, ref_coord_data(pd_frames, bundle.phi, t), t)
     m2_values = derivs.p32 - derivs.p1
     residual_values = ref_residual_from_point(pd, bundle.phi, t)
 
+    values = {
+        "M2": m2_values,
+        "even": even_gap,
+        "E": e_values,
+        "curl": curl_values,
+        "M": m_values,
+        "residual": residual_values,
+    }
     b_thr = zero_threshold(eps0, b_scale)
     nu_thr = zero_threshold(eps0, nu_scale)
     evidence = {
@@ -187,7 +302,7 @@ def ref_classify(bundle, sampling: Optional[Sampling] = None):
         verdict = Verdict.IRREVERSIBLE
     else:
         verdict = Verdict.UNDETERMINED
-    return verdict, evidence, residual_max, residual_cutoff, decomposition.k2
+    return verdict, evidence, residual_max, residual_cutoff, decomposition.k2, values
 
 
 def ref_write_validation_csv(path, bundle):
@@ -203,7 +318,7 @@ def ref_write_validation_csv(path, bundle):
         except EvalDomainError:
             margin = np.full_like(s, float("nan"))
         rows.extend((float(sv), float(b), float(m)) for sv, m in zip(s, np.broadcast_to(margin, s.shape)))
-    cli.write_csv(path, ["s", "b", "ec1_margin"], rows)
+    cli.write_csv(path, ["s", "b", "ec1_margin"], np.array(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +354,7 @@ class TestBitwiseAgainstReference:
     def test_classify_evidence(self, name, sampling):
         bundle = WITNESSES[name]()
         result = reversibility.classify(bundle, SAMPLINGS[sampling])
-        verdict, evidence, residual_max, cutoff, k2 = ref_classify(bundle, SAMPLINGS[sampling])
+        verdict, evidence, residual_max, cutoff, k2, _ = ref_classify(bundle, SAMPLINGS[sampling])
         assert result.verdict is verdict
         assert list(result.evidence) == list(evidence)
         for key, test in evidence.items():
@@ -250,6 +365,48 @@ class TestBitwiseAgainstReference:
         assert result.residual_max == residual_max
         assert result.residual_cutoff == cutoff
         assert result.k2 == k2
+
+    def test_classify_evidence_arrays(self, name, sampling, monkeypatch):
+        seen = []
+        original = reversibility._zero_test
+
+        def recording_zero_test(values, eps_zero):
+            seen.append(values)
+            return original(values, eps_zero)
+
+        monkeypatch.setattr(reversibility, "_zero_test", recording_zero_test)
+        bundle = WITNESSES[name]()
+        reversibility.classify(bundle, SAMPLINGS[sampling])
+        expected = ref_classify(bundle, SAMPLINGS[sampling])[-1]
+        assert len(seen) == len(expected)
+        for got, want in zip(seen, expected.values()):
+            want = np.asarray(want, dtype=float)
+            assert_same_bits(np.broadcast_to(got, want.shape), want)
+
+    def test_directional_grid(self, name, sampling):
+        bundle = witness(name, sampling)
+        X1, X2, t = ref_grid(bundle, bundle.sampling)
+        pd = point_data(bundle.form, bundle.metric, X1, X2)
+        got = frames.directional_grid(pd, bundle.phi, t)
+        want = ref_frame_combine(pd, ref_coord_data(pd, bundle.phi, t), t)
+        for field in dataclasses.fields(want):
+            assert_same_bits(getattr(got, field.name), getattr(want, field.name))
+
+    def test_frame_intermediates(self, name, sampling):
+        bundle = witness(name, sampling)
+        X1, X2, t = ref_grid(bundle, bundle.sampling)
+        got = frames.frame_intermediates(bundle, (X1, X2), t)
+        want = ref_frame_intermediates(bundle, (X1, X2), t)
+        for field in dataclasses.fields(want):
+            assert_same_bits(getattr(got, field.name), getattr(want, field.name))
+
+    def test_ecprinc_and_m_direct(self, name, sampling):
+        bundle = witness(name, sampling)
+        X1, X2, t = ref_grid(bundle, bundle.sampling)
+        pd = point_data(bundle.form, bundle.metric, X1, X2)
+        assert_same_bits(frames.ecprinc_direct(bundle, (X1, X2), t), ref_ecprinc(pd, bundle.phi, t))
+        m = reversibility.m_direct(bundle.form, bundle.metric, (X1, X2), t)
+        assert_same_bits(m, ref_m_direct(pd, t))
 
 
 VALIDATE_CONFIG = """
@@ -299,7 +456,7 @@ def test_validate_csv_bytes(tmp_path, capsys, phi_lines, nan_rows):
 @pytest.fixture()
 def counts(monkeypatch):
     """Count point_data calls (through both module bindings) and field evaluations."""
-    found = SimpleNamespace(point_data=0, profile_evals=0, evals=0)
+    found = SimpleNamespace(point_data=0, profile_evals=0, evals=0, fields=[])
     original_pd = reversibility.point_data
     original_eval = ScalarField.eval
 
@@ -309,6 +466,7 @@ def counts(monkeypatch):
 
     def counting_eval(self, point):
         found.evals += 1
+        found.fields.append(self)
         if self.variables == ("s",):
             found.profile_evals += 1
         return original_eval(self, point)
@@ -320,6 +478,11 @@ def counts(monkeypatch):
 
 
 LADDER_EVALS = 6  # phi, phi' and phi'' at +s and -s
+POINT_DATA_EVALS = 9  # nu, nu1, nu2, b1, b2 and the four partials of b
+
+
+def evaluates_d3(counts, bundle):
+    return any(field is bundle.phi.d3 for field in counts.fields)
 
 
 @pytest.fixture(params=sorted(WITNESSES))
@@ -339,19 +502,32 @@ def test_classify_doubled_evaluates_point_data_once(validated, counts):
     assert counts.point_data == 1
 
 
+def test_classify_evaluates_each_profile_value_once(validated, counts):
+    reversibility.classify(validated)
+    # one ladder over the s grid, one at beta shared by the residual and
+    # the frame partials, and the odd part of the even/odd split
+    assert counts.profile_evals == 2 * LADDER_EVALS + 1
+    assert counts.evals == POINT_DATA_EVALS + 2 * LADDER_EVALS + 1
+    assert not evaluates_d3(counts, validated)
+
+
 def test_residual_evaluates_one_ladder(validated, counts):
     X1, X2, t = ref_grid(validated, validated.sampling)
     reversibility.residual(validated, (X1, X2), t)
     assert counts.point_data == 1
     assert counts.profile_evals == LADDER_EVALS
+    assert counts.evals == POINT_DATA_EVALS + LADDER_EVALS
 
 
 def test_crosscheck_evaluates_one_ladder(validated, counts):
     X1, X2, t = ref_grid(validated, validated.sampling)
     frames.crosscheck(validated, (X1, X2), t)
     assert counts.point_data == 1
-    # phi, phi', phi'', phi''' at t and at t + pi for the frame side
-    assert counts.profile_evals == LADDER_EVALS + 8
+    # the ladder at beta(t) serves both sides; phi, phi', phi'' at
+    # beta(t + pi) for the frame side's r-partials
+    assert counts.profile_evals == LADDER_EVALS + 3
+    assert counts.evals == POINT_DATA_EVALS + LADDER_EVALS + 3
+    assert not evaluates_d3(counts, validated)
 
 
 @pytest.mark.parametrize("what", ["E", "F"])

@@ -266,8 +266,8 @@ class TestEcprincDirect:
 
     def test_swapping_roles_flips_sign(self, generic_bundle, rng):
         # exchanging the two profiles in the defect is a literal antisymmetry
-        from geodrev.frames import _coord_data
-        from geodrev.reversibility import point_data
+        from geodrev.frames import _coord_at
+        from geodrev.reversibility import _fiber, point_data
 
         x1s, x2s, ts = random_points(generic_bundle, rng, 20)
         for x1, x2, t in zip(x1s, x2s, ts):
@@ -275,8 +275,8 @@ class TestEcprincDirect:
             ct, st = math.cos(t), math.sin(t)
             nu_plus = pd.nu1 * ct + pd.nu2 * st
             nu_minus = pd.nu2 * ct - pd.nu1 * st
-            cp = _coord_data(pd, generic_bundle.phi, t)
-            cr = _coord_data(pd, generic_bundle.phi, t + math.pi)
+            cp = _coord_at(pd, generic_bundle.phi, _fiber(pd, t))
+            cr = _coord_at(pd, generic_bundle.phi, _fiber(pd, t + math.pi))
 
             def row(c):
                 return pd.e_mnu * (

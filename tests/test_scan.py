@@ -118,12 +118,9 @@ def csv_bytes(tmp_path, writer, header, rows, name):
 
 
 class TestWriteCsv:
-    def check(self, tmp_path, header, rows, table=None):
+    def check(self, tmp_path, header, rows, table):
         want = csv_bytes(tmp_path, reference_write_csv, header, rows, "want.csv")
-        got_rows = csv_bytes(tmp_path, cli.write_csv, header, rows, "rows.csv")
-        assert got_rows == want
-        if table is not None:
-            assert csv_bytes(tmp_path, cli.write_csv, header, table, "table.csv") == want
+        assert csv_bytes(tmp_path, cli.write_csv, header, table, "table.csv") == want
         return want
 
     def test_special_values(self, tmp_path):
@@ -140,7 +137,7 @@ class TestWriteCsv:
         rows = [(float(i), p[0], p[1]) for i, p in enumerate(samples)]
         want = self.check(tmp_path, ["step", "x1", "x2"], rows, np.column_stack((steps, samples)))
         assert want.splitlines()[-1].startswith(b"49,")
-        # Python ints format like the floats they convert to
+        # integer arrays format like the floats they convert to
         int_rows = [(i, 2 * i, 3) for i in range(20)]
         self.check(tmp_path, ["a", "b", "c"], int_rows, np.array(int_rows))
 
@@ -154,9 +151,6 @@ class TestWriteCsv:
         rows = [tuple(map(float, row)) for row in values]
         want = self.check(tmp_path, ["a", "b", "c"], rows, values)
         assert want.count(b"\n") == n + 1
-        # a generator is consumed block by block
-        got = csv_bytes(tmp_path, cli.write_csv, ["a", "b", "c"], (row for row in rows), "gen.csv")
-        assert got == want
 
     def test_width_mismatch_is_rejected(self, tmp_path):
         with pytest.raises(ValueError):
