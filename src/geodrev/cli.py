@@ -1,17 +1,20 @@
 """Command-line front end: validate, classify, scan and geodesic runs.
 
 Exit codes: 0 success; 1 usage, config or I/O error, including an
-expression evaluated outside its domain (EvalDomainError); 2 validation
-failure, including a fiber Hessian of F^2 that is not positive definite
-along a geodesic (SingularHessianError), a failed convexity check of the
-frame oracle (ConvexityError) and classification evidence that
-contradicts itself (InconsistentEvidenceError); 3 geodesic truncated at
-the domain boundary.
+expression evaluated outside its domain (EvalDomainError), a non-finite
+number, a start point outside the domain, a start vector of extreme length
+and a geodesic run too long for its trajectory buffer (PathTooLongError);
+2 validation failure, including a fiber Hessian of F^2 that is not
+positive definite along a geodesic (SingularHessianError), a failed
+convexity check of the frame oracle (ConvexityError) and classification
+evidence that contradicts itself (InconsistentEvidenceError); 3 geodesic
+truncated at the domain boundary.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 
@@ -20,6 +23,7 @@ import numpy as np
 from .config import ConfigError, load_config
 from .frames import ConvexityError, crosscheck
 from .geodesics import (
+    PathTooLongError,
     SingularHessianError,
     backward_duration,
     integrate,
@@ -156,9 +160,12 @@ def _parse_pair(text: str, label: str) -> tuple[float, float]:
     if len(parts) != 2:
         raise ConfigError(f"{label} must be two comma-separated numbers")
     try:
-        return float(parts[0]), float(parts[1])
+        pair = float(parts[0]), float(parts[1])
     except ValueError:
         raise ConfigError(f"{label} must be two comma-separated numbers") from None
+    if not all(math.isfinite(v) for v in pair):
+        raise ConfigError(f"{label} must be two finite numbers, got {text}")
+    return pair
 
 
 def _rev_path_name(path: str) -> str:
@@ -170,11 +177,23 @@ def cmd_geodesic(args) -> int:
     bundle, cfg = _load_bundle(args.config)
     bundle.require_valid()
     x0 = _parse_pair(args.x0, "--x0")
+    d = bundle.metric.domain
+    if not d.contains(*x0):
+        raise ConfigError(
+            f"--x0 point ({x0[0]}, {x0[1]}) lies outside the domain "
+            f"[{d.x1min}, {d.x1max}] x [{d.x2min}, {d.x2max}]"
+        )
     y0 = _parse_pair(args.y0, "--y0")
-    if y0 == (0.0, 0.0):
-        raise ConfigError("--y0 must be nonzero")
+    # The spray's finite differences of F^2 take steps of 1e-4 |y|; beyond
+    # this range their squares underflow or overflow.
+    speed = math.hypot(*y0)
+    if not 1e-100 <= speed <= 1e100:
+        raise ConfigError(f"--y0 must have a length in [1e-100, 1e100], got {speed} for {args.y0}")
     T = args.T if args.T is not None else cfg.T
     h = args.h if args.h is not None else cfg.h
+    for label, value in (("--T", T), ("--h", h)):
+        if not 0.0 < value < math.inf:
+            raise ConfigError(f"{label} must be a positive finite number, got {value}")
 
     forward = integrate(bundle, x0, y0, T, h)
     # One backward run serves both paths: the one the error is measured on,
@@ -263,7 +282,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.fn(args)
-    except (ConfigError, EvalDomainError) as exc:
+    except (ConfigError, EvalDomainError, PathTooLongError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (

@@ -27,6 +27,7 @@ Strings are double-quoted, numbers are plain decimals.  Example:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .metric import (
@@ -149,7 +150,13 @@ class _Section:
 
     def _coerce(self, key, value, line, kind):
         if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
+            try:
+                number = float(value)
+            except OverflowError:  # an integer beyond the float range
+                number = math.inf
+            if not math.isfinite(number):
+                raise ConfigError(f"key {key!r} must be a finite number, got {number}", line)
+            return number
         if kind is int and isinstance(value, int):
             return value
         if kind is str and isinstance(value, str):

@@ -2,14 +2,17 @@
 
 The spray coefficients G1, G2 come from nested central differences of the
 energy F^2, never from the symbolic pipeline, so trajectory-level checks
-are independent of the closed-form machinery they confirm.  Reversibility
-of a configuration is probed by running a geodesic forward, relaunching it
+are independent of the closed-form machinery they confirm.  One engine
+integrates every path: fixed-step RK4 that advances a batch of rows in
+lockstep, a single path being a batch of one.  Reversibility of a
+configuration is probed by running a geodesic forward, relaunching it
 backward from the endpoint and measuring the unparametrized distance
 between the two paths.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +23,10 @@ from .runtime import ordered_map
 
 class SingularHessianError(ValueError):
     """The numerically computed fiber Hessian of F^2 was not positive definite."""
+
+
+class PathTooLongError(ValueError):
+    """The trajectory buffer of a run could not be allocated."""
 
 
 @dataclass(frozen=True)
@@ -87,77 +94,55 @@ def _singular_hessian(x1: float, x2: float, y1: float, y2: float) -> SingularHes
     )
 
 
-def spray(bundle: MetricBundle, x, y):
-    """Coefficients (G1, G2) of the geodesic equation x'' = -2 G(x, x')."""
-    x1, x2 = float(x[0]), float(x[1])
-    y1, y2 = float(y[0]), float(y[1])
-    speed = float(np.hypot(y1, y2))
-    if speed == 0.0:
-        raise ValueError("tangent vector must be nonzero")
-    hy = 1e-4 * speed
-    hx = 1e-5 * max(1.0, bundle.metric.domain.extent)
+def _rates(bundle: MetricBundle, states: np.ndarray) -> np.ndarray:
+    """Geodesic flow (y1, y2, -2 G1, -2 G2) at each row (x1, x2, y1, y2) of ``states``.
 
-    pts = np.array([x1, x2, y1, y2]) + _STENCIL * np.array([hx, hx, hy, hy])
-    L = _energy_batch(bundle, pts)
-
-    h11 = (L[1] - 2.0 * L[0] + L[2]) / hy**2
-    h22 = (L[3] - 2.0 * L[0] + L[4]) / hy**2
-    h12 = (L[5] - L[6] - L[7] + L[8]) / (4.0 * hy**2)
-    det = h11 * h22 - h12 * h12
-    if h11 <= 0.0 or det <= 0.0:
-        raise _singular_hessian(x1, x2, y1, y2)
-    lx1 = (L[9] - L[10]) / (2.0 * hx)
-    lx2 = (L[11] - L[12]) / (2.0 * hx)
-    scale = 4.0 * hx * hy
-    m11 = (L[13] - L[14] - L[15] + L[16]) / scale  # d2L/dx1 dy1
-    m12 = (L[17] - L[18] - L[19] + L[20]) / scale  # d2L/dx1 dy2
-    m21 = (L[21] - L[22] - L[23] + L[24]) / scale  # d2L/dx2 dy1
-    m22 = (L[25] - L[26] - L[27] + L[28]) / scale  # d2L/dx2 dy2
-    rhs1 = m11 * y1 + m21 * y2 - lx1
-    rhs2 = m12 * y1 + m22 * y2 - lx2
-    two_g1 = (h22 * rhs1 - h12 * rhs2) / det
-    two_g2 = (h11 * rhs2 - h12 * rhs1) / det
-    return 0.5 * two_g1, 0.5 * two_g2
-
-
-def _spray_batch(bundle: MetricBundle, states: np.ndarray) -> np.ndarray:
-    """Spray coefficients (G1, G2), one row per row (x1, x2, y1, y2) of ``states``.
-
-    One ``_energy_batch`` call evaluates the stencils of all rows, and paired
-    formulas of ``spray`` run as one operation on column pairs.  Every value
-    goes through the same floating-point operations in the same order as in
-    ``spray``, so each row is bitwise equal to ``spray`` on that row alone.
-    The lowest-index failing row raises the error ``spray`` raises for it.
+    One ``_energy_batch`` call evaluates the stencils of all rows.  The
+    Hessian and the 2x2 solve then run row by row on Python floats: for one
+    path or a fan of a few directions, that is cheaper than the same solve
+    spelled as dozens of small-array operations.  Rows never mix, so a row's
+    result does not depend on the batch it is in.  The lowest-index failing
+    row raises.
     """
-    rows = len(states)
-    y = states[:, 2:]
-    speed = np.hypot(y[:, 0], y[:, 1])
-    if not speed.all():
+    speeds = np.hypot(states[:, 2], states[:, 3]).tolist()
+    if 0.0 in speeds:
         raise ValueError("tangent vector must be nonzero")
-    hy = 1e-4 * speed
-    # Python's float power, as in spray: libm pow(h, 2) need not equal h * h.
-    hy_sq = np.array([v**2 for v in hy.tolist()])
+    hys = [1e-4 * speed for speed in speeds]
     hx = 1e-5 * max(1.0, bundle.metric.domain.extent)
 
-    steps = np.empty_like(states)
-    steps[:, :2] = hx
-    steps[:, 2:] = hy[:, None]
+    steps = np.array([(hx, hx, hy, hy) for hy in hys])
     pts = (states[:, None, :] + _STENCIL * steps[:, None, :]).reshape(-1, 4)
-    L = _energy_batch(bundle, pts).reshape(rows, len(_STENCIL))
+    energies = _energy_batch(bundle, pts).reshape(len(states), len(_STENCIL))
 
-    # columns (h11, h22), (lx1, lx2), (m11, m12, m21, m22); see spray
-    h_diag = (L[:, 1:5:2] - 2.0 * L[:, :1] + L[:, 2:5:2]) / hy_sq[:, None]
-    h12 = (L[:, 5] - L[:, 6] - L[:, 7] + L[:, 8]) / (4.0 * hy_sq)
-    det = h_diag[:, 0] * h_diag[:, 1] - h12 * h12
-    bad = (h_diag[:, 0] <= 0.0) | (det <= 0.0)
-    if bad.any():
-        raise _singular_hessian(*(float(v) for v in states[int(np.argmax(bad))]))
-    lx = (L[:, 9:13:2] - L[:, 10:13:2]) / (2.0 * hx)
-    quad = L[:, 13:].reshape(rows, 4, 4)
-    m = (quad[:, :, 0] - quad[:, :, 1] - quad[:, :, 2] + quad[:, :, 3]) / (4.0 * hx * hy)[:, None]
-    rhs = m[:, :2] * y[:, :1] + m[:, 2:] * y[:, 1:] - lx
-    two_g = (h_diag[:, ::-1] * rhs - h12[:, None] * rhs[:, ::-1]) / det[:, None]
-    return 0.5 * two_g
+    rates = []
+    for (x1, x2, y1, y2), hy, L in zip(states.tolist(), hys, energies.tolist()):
+        # Python's float power is libm pow(hy, 2), which need not equal hy * hy.
+        hy_sq = hy**2
+        h11 = (L[1] - 2.0 * L[0] + L[2]) / hy_sq
+        h22 = (L[3] - 2.0 * L[0] + L[4]) / hy_sq
+        h12 = (L[5] - L[6] - L[7] + L[8]) / (4.0 * hy_sq)
+        det = h11 * h22 - h12 * h12
+        if h11 <= 0.0 or det <= 0.0:
+            raise _singular_hessian(x1, x2, y1, y2)
+        lx1 = (L[9] - L[10]) / (2.0 * hx)
+        lx2 = (L[11] - L[12]) / (2.0 * hx)
+        scale = 4.0 * hx * hy
+        m11 = (L[13] - L[14] - L[15] + L[16]) / scale  # d2L/dx1 dy1
+        m12 = (L[17] - L[18] - L[19] + L[20]) / scale  # d2L/dx1 dy2
+        m21 = (L[21] - L[22] - L[23] + L[24]) / scale  # d2L/dx2 dy1
+        m22 = (L[25] - L[26] - L[27] + L[28]) / scale  # d2L/dx2 dy2
+        rhs1 = m11 * y1 + m21 * y2 - lx1
+        rhs2 = m12 * y1 + m22 * y2 - lx2
+        two_g1 = (h22 * rhs1 - h12 * rhs2) / det
+        two_g2 = (h11 * rhs2 - h12 * rhs1) / det
+        rates.append((y1, y2, -two_g1, -two_g2))
+    return np.array(rates)
+
+
+def spray(bundle: MetricBundle, x, y):
+    """Coefficients (G1, G2) of the geodesic equation x'' = -2 G(x, x'), at one point."""
+    _, _, a1, a2 = _rates(bundle, np.array([[x[0], x[1], y[0], y[1]]], dtype=float))[0].tolist()
+    return -0.5 * a1, -0.5 * a2
 
 
 # ---------------------------------------------------------------------------
@@ -169,51 +154,31 @@ def _steps(T: float, h: float) -> int:
     return max(1, int(round(T / h)))
 
 
-def _rk4(accel, domain, x0, y0, T, h):
-    n = _steps(T, h)
-    xs = np.empty((n + 1, 2))
-    ys = np.empty((n + 1, 2))
-    state = np.array([x0[0], x0[1], y0[0], y0[1]], dtype=float)
-    xs[0], ys[0] = state[:2], state[2:]
-    truncated = False
+def _rk4_batch(rate, domain, x0s, y0s, Ts, h: float) -> list[GeodesicPath]:
+    """Fixed-step RK4 paths from every (x0, y0) for its duration T, in lockstep.
 
-    def rate(z):
-        ax, ay = accel(z[:2], z[2:])
-        return np.array([z[2], z[3], ax, ay])
-
-    count = 0
-    for step in range(n):
-        k1 = rate(state)
-        k2 = rate(state + 0.5 * h * k1)
-        k3 = rate(state + 0.5 * h * k2)
-        k4 = rate(state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not domain.contains(state[0], state[1]):
-            truncated = True
-            break
-        count = step + 1
-        xs[count], ys[count] = state[:2], state[2:]
-    return xs[: count + 1], ys[: count + 1], truncated, count * h
-
-
-def _rk4_batch(accel, domain, states: np.ndarray, n_steps: np.ndarray, h: float):
-    """``_rk4`` on every row (x1, x2, y1, y2) of ``states`` in lockstep.
-
-    Row i runs n_steps[i] steps, or stops at the first step that leaves the
-    domain, and then drops out of the batch.  ``accel`` maps the live rows to
-    their (N, 2) accelerations.  Returns one (xs, ys, truncated, covered) per row,
-    as ``_rk4`` does.
+    ``rate`` maps the live rows (x1, x2, y1, y2) to their (N, 4) derivatives.
+    A row runs ``_steps(T, h)`` steps, or stops at the first step that leaves
+    the domain, and then drops out of the batch.
     """
-    rows = len(states)
-    traj = np.empty((rows, int(n_steps.max(initial=0)) + 1, 4))
-    traj[:, 0] = states
+    if not 0.0 < h < math.inf or not all(0.0 < T < math.inf for T in Ts):
+        raise ValueError("T and h must be positive and finite")
+    state = np.array(
+        [[x0[0], x0[1], y0[0], y0[1]] for x0, y0 in zip(x0s, y0s)], dtype=float
+    ).reshape(-1, 4)
+    rows = len(state)
+    try:
+        n_steps = [_steps(T, h) for T in Ts]
+        traj = np.empty((rows, max(n_steps, default=0) + 1, 4))
+    except (OverflowError, ValueError, MemoryError):
+        raise PathTooLongError(
+            f"cannot allocate the trajectory of a run of {max(Ts) / h:.6g} steps"
+        ) from None
+    traj[:, 0] = state
+    n_steps = np.array(n_steps)
     counts = np.zeros(rows, dtype=int)
     truncated = np.zeros(rows, dtype=bool)
     live = np.arange(rows)
-    state = states
-
-    def rate(z):
-        return np.concatenate((z[:, 2:], accel(z)), axis=1)
 
     step = 0
     while live.size:
@@ -223,48 +188,33 @@ def _rk4_batch(accel, domain, states: np.ndarray, n_steps: np.ndarray, h: float)
         k4 = rate(state + h * k3)
         state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         step += 1
+        traj[live, step] = state
         inside = domain.contains(state[:, 0], state[:, 1])
-        truncated[live[~inside]] = True
-        traj[live[inside], step] = state[inside]
-        counts[live[inside]] = step
-        keep = inside & (n_steps[live] > step)
-        live, state = live[keep], state[keep]
+        done = ~inside | (n_steps[live] <= step)
+        if done.any():
+            # a row that left the domain keeps the steps before this one
+            left = live[~inside]
+            counts[live[done]] = step
+            counts[left] = step - 1
+            truncated[left] = True
+            live, state = live[~done], state[~done]
     return [
-        (traj[i, : c + 1, :2].copy(), traj[i, : c + 1, 2:].copy(), t, c * h)
-        for i, (c, t) in enumerate(zip(counts.tolist(), truncated.tolist()))
+        GeodesicPath(
+            traj[i, : c + 1, :2].copy(), traj[i, : c + 1, 2:].copy(), tuple(x0), tuple(y0),
+            h, c * h, t,
+        )
+        for i, (c, t, x0, y0) in enumerate(zip(counts.tolist(), truncated.tolist(), x0s, y0s))
     ]
+
+
+def _integrate_batch(bundle: MetricBundle, x0s, y0s, Ts, h: float) -> list[GeodesicPath]:
+    """``integrate`` for every (x0, y0, T), advanced as one lockstep batch."""
+    return _rk4_batch(lambda z: _rates(bundle, z), bundle.metric.domain, x0s, y0s, Ts, h)
 
 
 def integrate(bundle: MetricBundle, x0, y0, T: float, h: float) -> GeodesicPath:
     """Integrate x'' = -2 G(x, x') from (x0, y0) for duration T with fixed step h."""
-    if h <= 0 or T <= 0:
-        raise ValueError("T and h must be positive")
-
-    def accel(x, y):
-        g1, g2 = spray(bundle, x, y)
-        return -2.0 * g1, -2.0 * g2
-
-    xs, ys, truncated, covered = _rk4(accel, bundle.metric.domain, x0, y0, T, h)
-    return GeodesicPath(xs, ys, tuple(x0), tuple(y0), h, covered, truncated)
-
-
-def _integrate_batch(bundle: MetricBundle, x0s, y0s, Ts, h: float) -> list[GeodesicPath]:
-    """``integrate`` for every (x0, y0, T) at once, bitwise equal to separate runs."""
-    if h <= 0 or any(T <= 0 for T in Ts):
-        raise ValueError("T and h must be positive")
-    states = np.array(
-        [[x0[0], x0[1], y0[0], y0[1]] for x0, y0 in zip(x0s, y0s)], dtype=float
-    ).reshape(-1, 4)
-    n_steps = np.array([_steps(T, h) for T in Ts], dtype=int)
-
-    def accel(z):
-        return -2.0 * _spray_batch(bundle, z)
-
-    runs = _rk4_batch(accel, bundle.metric.domain, states, n_steps, h)
-    return [
-        GeodesicPath(xs, ys, tuple(x0), tuple(y0), h, covered, truncated)
-        for (xs, ys, truncated, covered), x0, y0 in zip(runs, x0s, y0s)
-    ]
+    return _integrate_batch(bundle, [x0], [y0], [T], h)[0]
 
 
 def path_prefix(path: GeodesicPath, T: float) -> GeodesicPath:
@@ -288,20 +238,18 @@ def path_prefix(path: GeodesicPath, T: float) -> GeodesicPath:
 
 def riemann_geodesic(metric: IsothermalMetric, x0, y0, T: float, h: float) -> GeodesicPath:
     """Geodesic of the conformal factor alone, via closed-form Christoffels."""
-    if h <= 0 or T <= 0:
-        raise ValueError("T and h must be positive")
     nu1, nu2 = metric.nu1, metric.nu2
 
-    def accel(x, y):
-        env = {"x1": x[0], "x2": x[1]}
+    def rate(z):
+        x1, x2, y1, y2 = z.T
+        env = {"x1": x1, "x2": x2}
         n1 = nu1.eval(env)
         n2 = nu2.eval(env)
-        a1 = -(n1 * y[0] * y[0] + 2.0 * n2 * y[0] * y[1] - n1 * y[1] * y[1])
-        a2 = -(-n2 * y[0] * y[0] + 2.0 * n1 * y[0] * y[1] + n2 * y[1] * y[1])
-        return a1, a2
+        a1 = -(n1 * y1 * y1 + 2.0 * n2 * y1 * y2 - n1 * y2 * y2)
+        a2 = -(-n2 * y1 * y1 + 2.0 * n1 * y1 * y2 + n2 * y2 * y2)
+        return np.column_stack((y1, y2, a1, a2))
 
-    xs, ys, truncated, covered = _rk4(accel, metric.domain, x0, y0, T, h)
-    return GeodesicPath(xs, ys, tuple(x0), tuple(y0), h, covered, truncated)
+    return _rk4_batch(rate, metric.domain, [x0], [y0], [T], h)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,29 @@ class TestConfigParsing:
         cfg = parse_config(CLASS_A_CONFIG)
         assert cfg.nu_text.startswith("-ln")
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("x1max", "nan"),
+            ("x1max", "1" + "0" * 400),   # an integer beyond the float range
+            ("b0", "inf"),
+            ("eps_zero", "nan"),
+            ("T", "nan"),
+            ("T", "inf"),
+            ("T", "1e400"),
+            ("h", "-inf"),
+        ],
+    )
+    def test_non_finite_float_rejected(self, tmp_path, capsys, key, value):
+        text = CLASS_B_CONFIG + "\n[sampling]\neps_zero = 1e-6\n\n[geodesics]\nT = 1.0\nh = 0.001\n"
+        lines = text.splitlines()
+        number = next(i for i, line in enumerate(lines, start=1) if line.startswith(f"{key} ="))
+        lines[number - 1] = f"{key} = {value}"
+        code = main(["classify", write(tmp_path, "\n".join(lines))])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"line {number}: key {key!r} must be a finite number" in err
+
     def test_former_seeds_key_is_ignored(self, tmp_path, capsys):
         """A config that still carries [geodesics] seeds loads and classifies as before."""
         with_seeds = CLASS_A_CONFIG + "\n[geodesics]\nT = 1.0\nseeds = 8\n"
@@ -345,6 +368,36 @@ class TestGeodesicCommand:
         assert outputs[0] == outputs[1] == outputs[2]
         first = outputs[0][0].splitlines()[1]
         assert first == b"0,-0.5,0"
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--T", "nan", "--T must be a positive finite number, got nan"),
+            ("--T", "inf", "--T must be a positive finite number, got inf"),
+            ("--T", "-1", "--T must be a positive finite number, got -1.0"),
+            ("--h", "nan", "--h must be a positive finite number, got nan"),
+            ("--h", "inf", "--h must be a positive finite number, got inf"),
+            ("--y0", "nan,0", "--y0 must be two finite numbers, got nan,0"),
+            ("--y0", "inf,0", "--y0 must be two finite numbers, got inf,0"),
+            ("--y0", "0,0", "--y0 must have a length in [1e-100, 1e100], got 0.0 for 0,0"),
+            ("--y0", "1e-200,0", "--y0 must have a length in [1e-100, 1e100], got 1e-200 for 1e-200,0"),
+            ("--y0", "0,1e200", "--y0 must have a length in [1e-100, 1e100], got 1e+200 for 0,1e200"),
+            ("--x0", "nan,0", "--x0 must be two finite numbers, got nan,0"),
+            ("--x0", "5,0", "--x0 point (5.0, 0.0) lies outside the domain [-1.0, 1.0] x [-1.0, 1.0]"),
+            # 1e18 steps: numpy refuses the buffer's size before allocating
+            ("--T", "1e15", "cannot allocate the trajectory of a run of 1e+18 steps"),
+        ],
+    )
+    def test_bad_input_names_itself(self, tmp_path, capsys, option, value, message):
+        out_csv = tmp_path / "p.csv"
+        argv = ["geodesic", write(tmp_path, CLASS_B_CONFIG), "--x0", "0,0", "--y0", "1,0"]
+        argv += [option, value, "--out", str(out_csv)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"config error: {message}\n"
+        assert not out_csv.exists()
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -21,7 +22,7 @@ from geodrev import (
     spray,
 )
 from geodrev import geodesics
-from geodrev.geodesics import _integrate_batch, _points_to_polyline, _spray_batch, path_prefix
+from geodrev.geodesics import _integrate_batch, _points_to_polyline, _rates, path_prefix
 
 SPHERE_NU = "-ln(1 + (x1^2 + x2^2)/4)"
 
@@ -298,9 +299,10 @@ class TestBatchedEngine:
         states = np.column_stack(
             [rng.uniform(-1, 1, 6), rng.uniform(-1, 1, 6), rng.uniform(-2, 2, 6), rng.uniform(0.2, 2, 6)]
         )
-        accel = _spray_batch(class_a_bundle, states)
-        for row, (g1, g2) in zip(states, accel):
-            assert (g1, g2) == spray(class_a_bundle, row[:2], row[2:])
+        rates = _rates(class_a_bundle, states)
+        for row, rate in zip(states, rates):
+            g1, g2 = spray(class_a_bundle, row[:2], row[2:])
+            assert rate.tolist() == [row[2], row[3], -2.0 * g1, -2.0 * g2]
 
     def test_spray_batch_names_lowest_failing_row(self):
         metric = IsothermalMetric.from_text("0", Rectangle(-1, 1, -1, 1))
@@ -308,16 +310,16 @@ class TestBatchedEngine:
         states = np.array(
             [[0.1, 0.2, 0.0, 1.0], [0.3, -0.4, 1.0, 0.0], [0.0, 0.0, 0.0, -1.0], [0.5, 0.5, 2.0, 0.0]]
         )
-        with pytest.raises(SingularHessianError) as scalar:
+        with pytest.raises(SingularHessianError) as one_row:
             spray(bundle, states[1, :2], states[1, 2:])
         with pytest.raises(SingularHessianError) as batched:
-            _spray_batch(bundle, states)
-        assert str(batched.value) == str(scalar.value)
+            _rates(bundle, states)
+        assert str(batched.value) == str(one_row.value)
         assert "x=(0.3, -0.4), y=(1.0, 0.0)" in str(batched.value)
 
     def test_spray_batch_rejects_zero_vector(self, class_b_bundle):
         with pytest.raises(ValueError):
-            _spray_batch(class_b_bundle, np.array([[0.0, 0.0, 1.0, 0.0], [0.1, 0.1, 0.0, 0.0]]))
+            _rates(class_b_bundle, np.array([[0.0, 0.0, 1.0, 0.0], [0.1, 0.1, 0.0, 0.0]]))
 
     def test_prefix_equals_shorter_run(self, irreversible_bundle):
         x0, y0, h = (0.6, 0.0), (1.0, 0.1), 1e-3
@@ -329,6 +331,52 @@ class TestBatchedEngine:
         done = integrate(irreversible_bundle, x0, y0, 0.1, h)
         with pytest.raises(ValueError):
             path_prefix(done, 0.2)
+
+
+def _path_digest(path: GeodesicPath) -> str:
+    return hashlib.sha256(path.samples.tobytes() + path.velocities.tobytes()).hexdigest()
+
+
+class TestRecordedBytes:
+    """sha256 digests recorded with the scalar spray and single-path RK4
+    that the lockstep engine replaced (numpy 2.4.6, x86-64)."""
+
+    @pytest.mark.parametrize(
+        "witness, digest",
+        [
+            ("class_a", "dc6537ff774743e114e22d6dc50fe033eb38e912a736dc793ac9d829de16e780"),
+            ("class_b", "281a8155973e74c20bbd60461b1984e4edb32a6ccad48c212d7a9c14f8e7ba83"),
+            ("irreversible", "b68ce996c9bd6b155784e412f6da9bd22b8bb90c5a3ac0bbe67256840e031aba"),
+            ("even", "455329ba3d8ae62d86dfabc55aaf8e6da8774e37fd910e093905da34fad58015"),
+        ],
+    )
+    def test_integrate(self, witness, digest, request):
+        bundle = request.getfixturevalue(f"{witness}_bundle")
+        path = integrate(bundle, (0.1, -0.2), (0.6, 0.3), 1.0, 1e-3)
+        assert len(path.samples) == 1001 and not path.truncated
+        assert _path_digest(path) == digest
+
+    def test_truncated_integrate(self, irreversible_bundle):
+        path = integrate(irreversible_bundle, (0.6, 0.0), (1.0, 0.1), 1.0, 1e-3)
+        assert len(path.samples) == 412 and path.truncated
+        assert _path_digest(path) == "246f3eebce93b9641e7ef2cb5308fbbd15107e614ac8c278c7427bea8d5b3425"
+
+    def test_riemann_geodesic(self, sphere_metric):
+        path = riemann_geodesic(sphere_metric, (0.3, 0.1), (0.8, 0.55), 1.0, 1e-3)
+        assert len(path.samples) == 1001
+        assert _path_digest(path) == "c88667daf2a1e11168c08ab27972c34c76210199b0e4200a7c9e8a3710acbfc3"
+
+    @pytest.mark.parametrize(
+        "witness, digest",
+        [
+            ("class_a", "2b6c7752bffdba4ed096af1e4913dedea008b9b8c547c19932889dcb33314884"),
+            ("irreversible", "d836d2ff556d624917c043d8acf57209d1f8d30a24be8f34e66601946c24128c"),
+        ],
+    )
+    def test_reversibility_scan(self, witness, digest, request):
+        bundle = request.getfixturevalue(f"{witness}_bundle")
+        errors = [error for _, error in reversibility_scan(bundle, (0.0, 0.0), 1.0, 1e-3, 8)]
+        assert hashlib.sha256(np.array(errors).tobytes()).hexdigest() == digest
 
 
 def _points_to_polyline_all_pairs(points, poly):
