@@ -23,6 +23,7 @@ import numpy as np
 from .config import ConfigError, load_config
 from .frames import ConvexityError, crosscheck
 from .geodesics import (
+    SPEED_DECADES,
     PathTooLongError,
     SingularHessianError,
     backward_duration,
@@ -184,11 +185,14 @@ def cmd_geodesic(args) -> int:
             f"[{d.x1min}, {d.x1max}] x [{d.x2min}, {d.x2max}]"
         )
     y0 = _parse_pair(args.y0, "--y0")
-    # The spray's finite differences of F^2 take steps of 1e-4 |y|; beyond
-    # this range their squares underflow or overflow.
+    # 50 decades inside the range the spray accepts, so that the speed may
+    # drift along the path and its relaunch without leaving that range.
+    decades = SPEED_DECADES - 50
     speed = math.hypot(*y0)
-    if not 1e-100 <= speed <= 1e100:
-        raise ConfigError(f"--y0 must have a length in [1e-100, 1e100], got {speed} for {args.y0}")
+    if not 10.0**-decades <= speed <= 10.0**decades:
+        raise ConfigError(
+            f"--y0 must have a length in [1e-{decades}, 1e{decades}], got {speed} for {args.y0}"
+        )
     T = args.T if args.T is not None else cfg.T
     h = args.h if args.h is not None else cfg.h
     for label, value in (("--T", T), ("--h", h)):

@@ -21,6 +21,12 @@ from .metric import IsothermalMetric, MetricBundle
 from .runtime import ordered_map
 
 
+# A tangent vector's length must lie in [1e-SPEED_DECADES, 1e+SPEED_DECADES]:
+# the spray's finite differences take steps of 1e-4 |y| and square them;
+# beyond about 1e-155 and 1e154 they lose precision, underflow or overflow.
+SPEED_DECADES = 150
+
+
 class SingularHessianError(ValueError):
     """The numerically computed fiber Hessian of F^2 was not positive definite."""
 
@@ -105,8 +111,14 @@ def _rates(bundle: MetricBundle, states: np.ndarray) -> np.ndarray:
     row raises.
     """
     speeds = np.hypot(states[:, 2], states[:, 3]).tolist()
-    if 0.0 in speeds:
-        raise ValueError("tangent vector must be nonzero")
+    low, high = 10.0**-SPEED_DECADES, 10.0**SPEED_DECADES
+    for row, speed in enumerate(speeds):
+        if speed < low or speed > high:
+            x1, x2, y1, y2 = states[row].tolist()
+            raise ValueError(
+                f"tangent vector length {speed} outside [1e-{SPEED_DECADES}, 1e{SPEED_DECADES}]"
+                f" at x=({x1}, {x2}), y=({y1}, {y2})"
+            )
     hys = [1e-4 * speed for speed in speeds]
     hx = 1e-5 * max(1.0, bundle.metric.domain.extent)
 

@@ -130,13 +130,7 @@ class ValidationReport:
 def _triangular_grid(b0: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Sample pairs (s, b) with |s| <= b < b0, b strictly inside the interval."""
     bs = b0 * (np.arange(1, n + 1) / (n + 1.0))
-    s_list = []
-    b_list = []
-    for b in bs:
-        s = np.linspace(-b, b, n)
-        s_list.append(s)
-        b_list.append(np.full_like(s, b))
-    return np.concatenate(s_list), np.concatenate(b_list)
+    return np.linspace(-bs, bs, n, axis=1).ravel(), np.repeat(bs, n)
 
 
 def _ec1_margin(phi: PhiFunction, s, b):
@@ -183,9 +177,10 @@ def validate_finsler(phi: PhiFunction, grid_n: int = 201) -> ValidationReport:
             witness=witness or {"s": float("nan")},
         )
 
-    bad = ~(np.isfinite(ec1).all() and np.isfinite(ec2).all() and np.isfinite(phi_line).all())
-    if bad:
-        witness = _locate_domain_witness(phi, np.concatenate([s_line, s_tri]))
+    # the first s, on the line before the triangle, where a quantity is not finite
+    bad = ~np.concatenate([np.isfinite(phi_line) & np.isfinite(ec2), np.isfinite(ec1)])
+    if bad.any():
+        witness = {"s": float(np.concatenate([s_line, s_tri])[int(np.argmax(bad))])}
         return ValidationReport(float("-inf"), float("-inf"), float("-inf"), False, witness)
 
     i1 = int(np.argmin(ec1))

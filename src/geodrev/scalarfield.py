@@ -5,20 +5,25 @@ the unary operations neg/sin/cos/exp/ln/sqrt and the binary operations
 + - * / plus integer powers written with ``^``.  Differentiation is exact
 and symbolic; the only rewriting ever applied is constant folding, so
 correctness is semantic (evaluation), never syntactic.
+
+Each operation is one row of ``_UNARY`` or ``_BINARY``: constant fold,
+numpy evaluation, domain check and derivative rule.  Constant operands fold
+to what Python's arithmetic returns; where it raises (``ArithmeticError``
+or ``ValueError``: a pole, ln or sqrt outside its domain, an overflow) the
+node is kept, so that evaluation reports the error.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
 
 Value = Union[float, np.ndarray]
-
-_FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt")
 
 
 class ExpressionError(ValueError):
@@ -36,7 +41,7 @@ class UnknownVariableError(ParseError):
 
 
 class EvalDomainError(ExpressionError):
-    """Evaluation hit a pole, ln of a non-positive value or sqrt of a negative one."""
+    """Evaluation hit a pole, ln or sqrt outside its domain, or an overflowing power."""
 
 
 # ---------------------------------------------------------------------------
@@ -85,14 +90,18 @@ def _is_const(e: Expr, v: float | None = None) -> bool:
     return isinstance(e, Const) and (v is None or e.value == v)
 
 
+def _fold(op: Callable[..., float], *values) -> Optional[Const]:
+    """The constant ``op(*values)``, or None when Python's arithmetic raises."""
+    try:
+        return Const(op(*values))
+    except (ArithmeticError, ValueError):
+        return None
+
+
 # Smart constructors fold constants and neutral elements; nothing else.
 
 def const(v: float) -> Const:
     return Const(float(v))
-
-
-def var(name: str) -> Var:
-    return Var(name)
 
 
 def add(a: Expr, b: Expr) -> Expr:
@@ -128,9 +137,9 @@ def mul(a: Expr, b: Expr) -> Expr:
 
 
 def div(a: Expr, b: Expr) -> Expr:
-    # never fold a zero denominator: the error belongs to evaluation time
-    if isinstance(a, Const) and isinstance(b, Const) and b.value != 0.0:
-        return Const(a.value / b.value)
+    if isinstance(a, Const) and isinstance(b, Const):
+        if folded := _fold(operator.truediv, a.value, b.value):
+            return folded
     if _is_const(a, 0.0) and not _is_const(b, 0.0):
         return ZERO
     if _is_const(b, 1.0):
@@ -138,40 +147,84 @@ def div(a: Expr, b: Expr) -> Expr:
     return Binary("/", a, b)
 
 
-def neg(a: Expr) -> Expr:
-    if isinstance(a, Const):
-        return Const(-a.value)
-    if isinstance(a, Unary) and a.op == "neg":
-        return a.arg
-    return Unary("neg", a)
-
-
 def power(base: Expr, exponent: int) -> Expr:
     if exponent == 0:
         return ONE
     if exponent == 1:
         return base
-    if isinstance(base, Const) and not (base.value == 0.0 and exponent < 0):
-        return Const(base.value ** exponent)
+    if isinstance(base, Const) and (folded := _fold(operator.pow, base.value, exponent)):
+        return folded
     return Power(base, int(exponent))
+
+
+def _unary(op: str, arg: Expr) -> Expr:
+    """Smart constructor of every unary operation."""
+    row = _UNARY[op]
+    if isinstance(arg, Const) and (folded := _fold(row.fold, arg.value)):
+        return folded
+    if row.self_inverse and isinstance(arg, Unary) and arg.op == op:
+        return arg.arg
+    return Unary(op, arg)
+
+
+def neg(a: Expr) -> Expr:
+    return _unary("neg", a)
 
 
 def func(name: str, arg: Expr) -> Expr:
     if name not in _FUNCTIONS:
         raise ExpressionError(f"unknown function {name!r}")
-    if isinstance(arg, Const):
-        if name == "sin":
-            return Const(math.sin(arg.value))
-        if name == "cos":
-            return Const(math.cos(arg.value))
-        if name == "exp":
-            return Const(math.exp(arg.value))
-        if name == "ln" and arg.value > 0.0:
-            return Const(math.log(arg.value))
-        if name == "sqrt" and arg.value >= 0.0:
-            return Const(math.sqrt(arg.value))
-        # out-of-domain constants keep the node so evaluation reports them
-    return Unary(name, arg)
+    return _unary(name, arg)
+
+
+# Operation tables: every operation of the DSL, defined once.
+
+class _OpTable(dict):
+    def __missing__(self, op: str):  # an operation the DSL does not have
+        raise ExpressionError(f"bad operation {op!r}")
+
+
+@dataclass(frozen=True, slots=True)
+class _UnaryOp:
+    fold: Callable[[float], float]           # constant fold
+    evaluate: Callable[[Value], Value]       # numpy evaluation
+    outside: Optional[Callable[[np.ndarray], np.ndarray]]  # mask of points outside the domain
+    message: str                             # EvalDomainError text for those points
+    derivative: Callable[[Unary, Expr], Expr]  # d(node) from the node and d(arg)
+    self_inverse: bool = False               # op(op(a)) is rewritten to a
+
+
+@dataclass(frozen=True, slots=True)
+class _BinaryOp:
+    build: Callable[[Expr, Expr], Expr]      # smart constructor
+    evaluate: Callable[[Value, Value], Value]
+    outside: Optional[Callable[[np.ndarray], np.ndarray]]  # mask on the right operand
+    message: str
+    derivative: Callable[[Binary, Expr, Expr], Expr]  # from the node, d(left) and d(right)
+
+
+_UNARY = _OpTable(
+    neg=_UnaryOp(operator.neg, operator.neg, None, "", lambda e, da: neg(da), self_inverse=True),
+    sin=_UnaryOp(math.sin, np.sin, None, "", lambda e, da: mul(func("cos", e.arg), da)),
+    cos=_UnaryOp(math.cos, np.cos, None, "", lambda e, da: neg(mul(func("sin", e.arg), da))),
+    exp=_UnaryOp(math.exp, np.exp, None, "", lambda e, da: mul(e, da)),
+    ln=_UnaryOp(math.log, np.log, lambda a: a <= 0.0, "ln of non-positive value",
+                lambda e, da: div(da, e.arg)),
+    sqrt=_UnaryOp(math.sqrt, np.sqrt, lambda a: a < 0.0, "sqrt of negative value",
+                  lambda e, da: div(da, mul(const(2.0), e))),
+)
+
+# Unary operations written as name(arg); neg is written as a prefix minus.
+_FUNCTIONS = tuple(op for op in _UNARY if op != "neg")
+
+_BINARY = _OpTable({
+    "+": _BinaryOp(add, operator.add, None, "", lambda e, da, db: add(da, db)),
+    "-": _BinaryOp(sub, operator.sub, None, "", lambda e, da, db: sub(da, db)),
+    "*": _BinaryOp(mul, operator.mul, None, "",
+                   lambda e, da, db: add(mul(da, e.right), mul(e.left, db))),
+    "/": _BinaryOp(div, operator.truediv, lambda b: b == 0.0, "division by zero",
+                   lambda e, da, db: div(sub(mul(da, e.right), mul(e.left, db)), power(e.right, 2))),
+})
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +237,11 @@ def func(name: str, arg: Expr) -> Expr:
 #   atom   := number | name '(' expr ')' | name | '(' expr ')'
 
 
-class _Lexer:
-    def __init__(self, text: str):
+class _Parser:
+    def __init__(self, text: str, allowed_vars: tuple[str, ...]):
         self.text = text
         self.pos = 0
+        self.allowed = tuple(allowed_vars)
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -197,53 +251,49 @@ class _Lexer:
         self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-
-class _Parser:
-    def __init__(self, text: str, allowed_vars: tuple[str, ...]):
-        self.lx = _Lexer(text)
-        self.allowed = tuple(allowed_vars)
-
     def parse(self) -> Expr:
         e = self.expr()
-        self.lx.skip_ws()
-        if self.lx.pos != len(self.lx.text):
-            raise ParseError(f"unexpected {self.lx.text[self.lx.pos]!r}", self.lx.pos)
+        self.skip_ws()
+        if self.pos != len(self.text):
+            raise ParseError(f"unexpected {self.text[self.pos]!r}", self.pos)
+        return e
+
+    def chain(self, ops: str, operand: Callable[[], Expr]) -> Expr:
+        """operand (op operand)* for the binary operations in ``ops``, left-associative."""
+        e = operand()
+        while (op := self.peek()) and op in ops:
+            self.pos += 1
+            e = _BINARY[op].build(e, operand())
         return e
 
     def expr(self) -> Expr:
-        e = self.term()
-        while self.lx.peek() in ("+", "-"):
-            op = self.lx.text[self.lx.pos]
-            self.lx.pos += 1
-            rhs = self.term()
-            e = add(e, rhs) if op == "+" else sub(e, rhs)
-        return e
+        return self.chain("+-", self.term)
 
     def term(self) -> Expr:
-        e = self.unary()
-        while self.lx.peek() in ("*", "/"):
-            op = self.lx.text[self.lx.pos]
-            self.lx.pos += 1
-            rhs = self.unary()
-            e = mul(e, rhs) if op == "*" else div(e, rhs)
+        return self.chain("*/", self.unary)
+
+    def closing(self, e: Expr) -> Expr:
+        if self.peek() != ")":
+            raise ParseError("expected ')'", self.pos)
+        self.pos += 1
         return e
 
     def unary(self) -> Expr:
-        if self.lx.peek() == "-":
-            self.lx.pos += 1
+        if self.peek() == "-":
+            self.pos += 1
             return neg(self.unary())
         return self.power()
 
     def power(self) -> Expr:
         e = self.atom()
-        while self.lx.peek() == "^":
-            self.lx.pos += 1
+        while self.peek() == "^":
+            self.pos += 1
             e = power(e, self.exponent())
         return e
 
     def exponent(self) -> int:
-        self.lx.skip_ws()
-        text, pos = self.lx.text, self.lx.pos
+        self.skip_ws()
+        text, pos = self.text, self.pos
         parenthesized = pos < len(text) and text[pos] == "("
         if parenthesized:
             pos += 1
@@ -255,29 +305,25 @@ class _Parser:
             pos += 1
         if pos == digits_start:
             raise ParseError("expected integer exponent", pos)
+        if pos - digits_start > 15:  # longer exponents do not convert to floats exactly
+            raise ParseError("exponent longer than 15 digits", digits_start)
+        value = int(text[start:pos])
         if parenthesized:
             if pos >= len(text) or text[pos] != ")":
                 raise ParseError("expected ')' after exponent", pos)
             pos += 1
-            value = int(text[start:pos - 1])
-        else:
-            value = int(text[start:pos])
-        self.lx.pos = pos
+        self.pos = pos
         return value
 
     def atom(self) -> Expr:
-        self.lx.skip_ws()
-        text, pos = self.lx.text, self.lx.pos
+        self.skip_ws()
+        text, pos = self.text, self.pos
         if pos >= len(text):
             raise ParseError("unexpected end of input", pos)
         ch = text[pos]
         if ch == "(":
-            self.lx.pos += 1
-            e = self.expr()
-            if self.lx.peek() != ")":
-                raise ParseError("expected ')'", self.lx.pos)
-            self.lx.pos += 1
-            return e
+            self.pos += 1
+            return self.closing(self.expr())
         if ch.isdigit() or ch == ".":
             return self.number()
         if ch.isalpha() or ch == "_":
@@ -285,7 +331,7 @@ class _Parser:
         raise ParseError(f"unexpected {ch!r}", pos)
 
     def number(self) -> Expr:
-        text, start = self.lx.text, self.lx.pos
+        text, start = self.text, self.pos
         pos = start
         while pos < len(text) and (text[pos].isdigit() or text[pos] == "."):
             pos += 1
@@ -303,25 +349,21 @@ class _Parser:
             value = float(text[start:pos])
         except ValueError:
             raise ParseError(f"bad number {text[start:pos]!r}", start) from None
-        self.lx.pos = pos
+        self.pos = pos
         return Const(value)
 
     def identifier(self) -> Expr:
-        text, start = self.lx.text, self.lx.pos
+        text, start = self.text, self.pos
         pos = start
         while pos < len(text) and (text[pos].isalnum() or text[pos] == "_"):
             pos += 1
         name = text[start:pos]
-        self.lx.pos = pos
+        self.pos = pos
         if name in _FUNCTIONS:
-            if self.lx.peek() != "(":
-                raise ParseError(f"expected '(' after {name}", self.lx.pos)
-            self.lx.pos += 1
-            arg = self.expr()
-            if self.lx.peek() != ")":
-                raise ParseError("expected ')'", self.lx.pos)
-            self.lx.pos += 1
-            return func(name, arg)
+            if self.peek() != "(":
+                raise ParseError(f"expected '(' after {name}", self.pos)
+            self.pos += 1
+            return func(name, self.closing(self.expr()))
         if name not in self.allowed:
             raise UnknownVariableError(f"unknown identifier {name!r}", start)
         return Var(name)
@@ -363,47 +405,32 @@ def eval_expr(e: Expr, env: Mapping[str, Value]) -> Value:
             return env[e.name]
         except KeyError:
             raise ExpressionError(f"unbound variable {e.name!r}") from None
-    if isinstance(e, Unary):
-        a = eval_expr(e.arg, env)
-        op = e.op
-        if op == "neg":
-            return -a
-        if op == "sin":
-            return np.sin(a)
-        if op == "cos":
-            return np.cos(a)
-        if op == "exp":
-            return np.exp(a)
-        if op == "ln":
-            if np.any(np.asarray(a) <= 0.0):
-                raise _domain_error("ln of non-positive value", np.asarray(a) <= 0.0, env)
-            return np.log(a)
-        if op == "sqrt":
-            if np.any(np.asarray(a) < 0.0):
-                raise _domain_error("sqrt of negative value", np.asarray(a) < 0.0, env)
-            return np.sqrt(a)
-        raise ExpressionError(f"bad unary op {op!r}")
-    if isinstance(e, Binary):
+    if isinstance(e, Binary):  # inner node kinds in order of frequency in derivative trees
+        row = _BINARY[e.op]
         a = eval_expr(e.left, env)
         b = eval_expr(e.right, env)
-        op = e.op
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            if np.any(np.asarray(b) == 0.0):
-                raise _domain_error("division by zero", np.asarray(b) == 0.0, env)
-            return a / b
-        raise ExpressionError(f"bad binary op {op!r}")
+        if row.outside is not None and np.any(bad := row.outside(np.asarray(b))):
+            raise _domain_error(row.message, bad, env)
+        return row.evaluate(a, b)
     if isinstance(e, Power):
         a = eval_expr(e.base, env)
-        if e.exponent < 0 and np.any(np.asarray(a) == 0.0):
+        k = e.exponent
+        if k < 0 and np.any(np.asarray(a) == 0.0):
             raise _domain_error("zero raised to a negative power", np.asarray(a) == 0.0, env)
-        with np.errstate(over="raise"):
-            return np.power(a, e.exponent) if e.exponent >= 0 else 1.0 / np.power(a, -e.exponent)
+        try:
+            with np.errstate(over="raise"):
+                return np.power(a, k) if k >= 0 else 1.0 / np.power(a, -k)
+        except FloatingPointError:
+            with np.errstate(all="ignore"):  # finite bases where a^|k| or, for k < 0, 1/a^|k| overflows
+                p = np.power(np.asarray(a, dtype=float), abs(k))
+                bad = np.isfinite(a) & (np.isinf(p) | ((k < 0) & (p != 0.0) & np.isinf(1.0 / p)))
+            raise _domain_error("integer power overflows", bad, env) from None
+    if isinstance(e, Unary):
+        row = _UNARY[e.op]
+        a = eval_expr(e.arg, env)
+        if row.outside is not None and np.any(bad := row.outside(np.asarray(a))):
+            raise _domain_error(row.message, bad, env)
+        return row.evaluate(a)
     raise ExpressionError(f"bad node {e!r}")
 
 
@@ -417,33 +444,9 @@ def diff_expr(e: Expr, name: str) -> Expr:
     if isinstance(e, Var):
         return ONE if e.name == name else ZERO
     if isinstance(e, Unary):
-        da = diff_expr(e.arg, name)
-        if e.op == "neg":
-            return neg(da)
-        if e.op == "sin":
-            return mul(func("cos", e.arg), da)
-        if e.op == "cos":
-            return neg(mul(func("sin", e.arg), da))
-        if e.op == "exp":
-            return mul(e, da)
-        if e.op == "ln":
-            return div(da, e.arg)
-        if e.op == "sqrt":
-            return div(da, mul(const(2.0), e))
-        raise ExpressionError(f"bad unary op {e.op!r}")
+        return _UNARY[e.op].derivative(e, diff_expr(e.arg, name))
     if isinstance(e, Binary):
-        da = diff_expr(e.left, name)
-        db = diff_expr(e.right, name)
-        if e.op == "+":
-            return add(da, db)
-        if e.op == "-":
-            return sub(da, db)
-        if e.op == "*":
-            return add(mul(da, e.right), mul(e.left, db))
-        if e.op == "/":
-            numerator = sub(mul(da, e.right), mul(e.left, db))
-            return div(numerator, power(e.right, 2))
-        raise ExpressionError(f"bad binary op {e.op!r}")
+        return _BINARY[e.op].derivative(e, diff_expr(e.left, name), diff_expr(e.right, name))
     if isinstance(e, Power):
         da = diff_expr(e.base, name)
         return mul(mul(const(float(e.exponent)), power(e.base, e.exponent - 1)), da)
@@ -457,12 +460,10 @@ def substitute(e: Expr, name: str, replacement: Expr) -> Expr:
     if isinstance(e, Var):
         return replacement if e.name == name else e
     if isinstance(e, Unary):
-        arg = substitute(e.arg, name, replacement)
-        return neg(arg) if e.op == "neg" else func(e.op, arg)
+        return _unary(e.op, substitute(e.arg, name, replacement))
     if isinstance(e, Binary):
-        left = substitute(e.left, name, replacement)
-        right = substitute(e.right, name, replacement)
-        return {"+": add, "-": sub, "*": mul, "/": div}[e.op](left, right)
+        build = _BINARY[e.op].build
+        return build(substitute(e.left, name, replacement), substitute(e.right, name, replacement))
     if isinstance(e, Power):
         return power(substitute(e.base, name, replacement), e.exponent)
     raise ExpressionError(f"bad node {e!r}")
@@ -502,10 +503,8 @@ def to_text(e: Expr) -> str:
             base = f"({base})"
         return f"{base}^{e.exponent}" if e.exponent >= 0 else f"{base}^({e.exponent})"
     if isinstance(e, Binary):
-        lp, rp = _prec(e.left), _prec(e.right)
-        mine = _prec(e)
-        left = to_text(e.left)
-        right = to_text(e.right)
+        lp, rp, mine = _prec(e.left), _prec(e.right), _prec(e)
+        left, right = to_text(e.left), to_text(e.right)
         if lp < mine:
             left = f"({left})"
         # -, / are left-associative: the right operand needs parens at equal precedence

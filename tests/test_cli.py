@@ -501,6 +501,40 @@ class TestErrorExitCodes:
         assert code == 2
         assert "odd part of phi is not a multiple of s" in err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["validate", "classify"])
+    @pytest.mark.parametrize(
+        "b1", ["exp(1000)", "10^400", "sin(1e400)", "(0.5)^(-2000)", "0.1 + 1e-300*(10*x1)^400"]
+    )
+    def test_out_of_range_constants_exit_with_a_code(self, tmp_path, capsys, command, b1):
+        # in process, so that any exception other than the mapped ones fails the test
+        code = main([command, write(tmp_path, CLASS_B_CONFIG.replace('b1 = "0.2"', f'b1 = "{b1}"'))])
+        assert code in (1, 2)
+
+    def test_overflowing_power_is_config_error(self, tmp_path, capsys):
+        cfg = CLASS_B_CONFIG.replace('b1 = "0.2"', 'b1 = "0.1 + 1e-300*(10*x1)^400"')
+        code = main(["validate", write(tmp_path, cfg)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "config error: integer power overflows at x1=-1.0, x2=-1.0\n"
+
+    def test_tiny_coefficient_validates(self, tmp_path, capsys):
+        cfg = CLASS_B_CONFIG.replace('b1 = "0.2"', 'b1 = "0.1 + x1/1e200"')
+        code = main(["validate", write(tmp_path, cfg)])
+        assert code == 0
+        assert "bundle validation: PASS" in capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_profile_prints_witness(self, tmp_path, capsys):
+        cfg = CLASS_B_CONFIG.replace(
+            'kind = "matsumoto"', 'kind = "expr"\nexpr = "1 + 0.1*s + 1e-300*exp(800*s)"'
+        ).replace("b0 = 0.4", "b0 = 1.0")
+        code = main(["validate", write(tmp_path, cfg)])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert "finsler validation: FAIL" in out
+        assert "witness: s=0.881188118812" in out
+
     def test_evidence_check_survives_optimize_flag(self, tmp_path):
         src = os.path.dirname(os.path.dirname(os.path.abspath(geodrev.__file__)))
         proc = subprocess.run(

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -101,6 +102,20 @@ class TestSpray:
     def test_zero_vector_rejected(self, class_b_bundle):
         with pytest.raises(ValueError):
             spray(class_b_bundle, (0.0, 0.0), (0.0, 0.0))
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_homogeneity_holds_at_the_accepted_length_range_edges(self, class_a_bundle, scale):
+        g = np.array(spray(class_a_bundle, (0.3, -0.2), (0.6, 0.8)))
+        g_scaled = np.array(spray(class_a_bundle, (0.3, -0.2), (0.6 * scale, 0.8 * scale)))
+        assert np.max(np.abs(g_scaled / scale**2 - g)) <= 1e-6 * np.max(np.abs(g))
+
+    @pytest.mark.parametrize("y", [(1e-200, 0.0), (0.0, 1e200)])
+    def test_extreme_vector_lengths_rejected(self, class_b_bundle, y):
+        message = re.escape(f"outside [1e-150, 1e150] at x=(0.25, 0.0), y=({y[0]!r}, {y[1]!r})")
+        with pytest.raises(ValueError, match=message):
+            spray(class_b_bundle, (0.25, 0.0), y)
+        with pytest.raises(ValueError, match=message):
+            integrate(class_b_bundle, (0.25, 0.0), y, 0.01, 1e-3)
 
 
 class TestIntegrate:

@@ -20,6 +20,8 @@ from geodrev import (
     validate_finsler,
 )
 
+from geodrev.metric import _triangular_grid
+
 from conftest import CORPUS_PROFILES
 
 
@@ -61,6 +63,30 @@ class TestValidateFinsler:
     def test_small_grid_rejected(self):
         with pytest.raises(ValueError):
             validate_finsler(PhiFunction.randers(0.9), grid_n=32)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_profile_names_a_witness(self):
+        # phi' = 0.1 + 1e-300*(exp(800 s)*800) overflows once exp(800 s) > 2.2e305,
+        # i.e. for s > 0.87886: the first such point of the s line is the witness.
+        phi = PhiFunction.from_text("1 + 0.1*s + 1e-300*exp(800*s)", 1.0)
+        report = validate_finsler(phi)
+        assert not report.passed
+        edge = 201 / 202
+        s_line = np.linspace(-edge, edge, 403)
+        first = s_line[np.argmax(s_line > math.log(1.7976931348623157e308 / 800) / 800)]
+        assert report.witness == {"s": float(first)}
+        assert f"witness: s={first:.12g}" in report.as_text()
+
+
+@pytest.mark.parametrize("b0", [0.1, 0.4, 0.5, 0.9, 1.0, 1 / 3])
+@pytest.mark.parametrize("n", [64, 201, 402])
+def test_triangular_grid_matches_row_by_row_construction(b0, n):
+    bs = b0 * (np.arange(1, n + 1) / (n + 1.0))
+    s_rows = np.concatenate([np.linspace(-b, b, n) for b in bs])
+    b_rows = np.concatenate([np.full(n, b) for b in bs])
+    s_tri, b_tri = _triangular_grid(b0, n)
+    assert s_tri.tobytes() == s_rows.tobytes()
+    assert b_tri.tobytes() == b_rows.tobytes()
 
 
 class TestBuiltinFamilies:
