@@ -26,10 +26,14 @@ import numpy as np
 from .metric import IsothermalMetric, MetricBundle, PhiFunction, beta_on_indicatrix
 from .reversibility import (
     PointData,
+    _CoordData,
     _Fiber,
+    _coord_data,
     _fiber,
     _ladder,
     _m_direct_from_point,
+    _p1,
+    _p32,
     _residual_from_point,
     point_data,
 )
@@ -115,57 +119,10 @@ class DirectionalDerivs:
     p333: np.ndarray
 
 
-@dataclass(frozen=True)
-class _CoordData:
-    """Coordinate partials of p to second order at one fiber angle."""
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
-    f0: np.ndarray  # phi(beta)
-    dp_dx1: np.ndarray
-    dp_dx2: np.ndarray
-    dp_dt: np.ndarray
-    dp_dx1dt: np.ndarray
-    dp_dx2dt: np.ndarray
-    dp_dtt: np.ndarray
-
-
-def _coord_data(pd: PointData, fb: _Fiber, f0, f1, f2) -> _CoordData:
-    """Partials of p from phi, phi' and phi'' (f0, f1, f2) at the fiber's beta."""
-    ct, st, beta, beta_t = fb.ct, fb.st, fb.beta, fb.beta_t
-    a = pd.e_mnu * (pd.db1_dx1 * ct + pd.db2_dx1 * st) - pd.nu1 * beta
-    b = pd.e_mnu * (pd.db1_dx2 * ct + pd.db2_dx2 * st) - pd.nu2 * beta
-    c = pd.e_mnu * (-pd.db1_dx1 * st + pd.db2_dx1 * ct) - pd.nu1 * beta_t
-    d = pd.e_mnu * (-pd.db1_dx2 * st + pd.db2_dx2 * ct) - pd.nu2 * beta_t
-    return _CoordData(
-        a=a,
-        b=b,
-        c=c,
-        d=d,
-        f0=f0,
-        dp_dx1=f1 * a,
-        dp_dx2=f1 * b,
-        dp_dt=f1 * beta_t,
-        dp_dx1dt=f2 * beta_t * a + f1 * c,
-        dp_dx2dt=f2 * beta_t * b + f1 * d,
-        dp_dtt=f2 * (beta_t * beta_t) - f1 * beta,
-    )
-
-
 def _coord_at(pd: PointData, phi: PhiFunction, fb: _Fiber) -> _CoordData:
     """_coord_data with phi, phi' and phi'' evaluated at the fiber's beta."""
     phi.check_s(fb.beta)
     return _coord_data(pd, fb, phi.phi(s=fb.beta), phi.d1(s=fb.beta), phi.d2(s=fb.beta))
-
-
-def _p1(pd: PointData, fb: _Fiber, cd: _CoordData):
-    return pd.e_mnu * (-cd.dp_dx1 * fb.st + cd.dp_dx2 * fb.ct - cd.dp_dt * fb.nu_plus)
-
-
-def _p32(pd: PointData, fb: _Fiber, cd: _CoordData):
-    return pd.e_mnu * (cd.dp_dx1dt * fb.ct + cd.dp_dx2dt * fb.st + cd.dp_dtt * fb.nu_minus)
 
 
 def directional_grid(pd: PointData, phi: PhiFunction, t) -> DirectionalDerivs:

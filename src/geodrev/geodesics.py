@@ -368,28 +368,9 @@ def relaunch(bundle: MetricBundle, forward: GeodesicPath, T: float) -> GeodesicP
     return integrate(bundle, forward.samples[-1], -forward.velocities[-1], T, forward.h)
 
 
-def reversibility_error(bundle: MetricBundle, x0, y0, T: float, h: float) -> float:
-    """Unparametrized distance between a geodesic and its reverse relaunch.
-
-    The forward run ends at (x_T, y_T); the probe restarts at (x_T, -y_T)
-    for the duration that the reverse norm assigns to the forward path, so
-    a reversible structure retraces the same set of points.
-    """
-    forward = integrate(bundle, x0, y0, T, h)
-    backward = relaunch(bundle, forward, backward_duration(bundle, forward))
-    return path_distance(forward, backward)
-
-
-def reversibility_scan(
-    bundle: MetricBundle, x0, T: float, h: float, n_directions: int
-) -> list[tuple[tuple[float, float], float]]:
-    """Probe reversibility along unit directions fanned around the base point.
-
-    Equal, bitwise, to ``reversibility_error`` for each direction: all
-    forward runs advance as one lockstep batch, then all backward runs.
-    """
-    angles = 2.0 * np.pi * np.arange(n_directions) / n_directions + 0.137
-    y0s = [(float(np.cos(angle)), float(np.sin(angle))) for angle in angles]
+def _probe(bundle: MetricBundle, x0, y0s, T: float, h: float) -> list[float]:
+    """``reversibility_error`` from x0 along each of y0s: all forward runs
+    advance as one lockstep batch, then all backward runs."""
     forwards = _integrate_batch(bundle, [x0] * len(y0s), y0s, [T] * len(y0s), h)
     backwards = _integrate_batch(
         bundle,
@@ -398,5 +379,23 @@ def reversibility_scan(
         [backward_duration(bundle, path) for path in forwards],
         h,
     )
-    errors = ordered_map(lambda pair: path_distance(*pair), zip(forwards, backwards))
-    return list(zip(y0s, errors))
+    return ordered_map(lambda pair: path_distance(*pair), zip(forwards, backwards))
+
+
+def reversibility_error(bundle: MetricBundle, x0, y0, T: float, h: float) -> float:
+    """Unparametrized distance between a geodesic and its reverse relaunch.
+
+    The forward run ends at (x_T, y_T); the probe restarts at (x_T, -y_T)
+    for the duration that the reverse norm assigns to the forward path, so
+    a reversible structure retraces the same set of points.
+    """
+    return _probe(bundle, x0, [y0], T, h)[0]
+
+
+def reversibility_scan(
+    bundle: MetricBundle, x0, T: float, h: float, n_directions: int
+) -> list[tuple[tuple[float, float], float]]:
+    """``reversibility_error`` along unit directions fanned around the base point."""
+    angles = 2.0 * np.pi * np.arange(n_directions) / n_directions + 0.137
+    y0s = [(float(np.cos(angle)), float(np.sin(angle))) for angle in angles]
+    return list(zip(y0s, _probe(bundle, x0, y0s, T, h)))

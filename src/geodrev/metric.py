@@ -23,6 +23,7 @@ from .scalarfield import (
     EvalDomainError,
     ScalarField,
     Var,
+    _require_finite,
     add,
     sub,
     mul,
@@ -225,7 +226,7 @@ def even_odd_decompose(
     ratios = 2.0 * np.asarray(odd(s=grid), dtype=float) / grid
     spread = float(np.max(ratios) - np.min(ratios))
     scale = float(np.max(np.abs(ratios)))
-    constant = spread <= zero_threshold(eps_zero, scale)
+    constant = spread <= zero_threshold(eps_zero, scale) < np.inf
     k2 = float(np.mean(ratios)) if constant else None
     return EvenOddDecomposition(even, odd, constant, k2)
 
@@ -349,7 +350,10 @@ class MetricBundle:
         env = {"x1": x1, "x2": x2}
         b1 = self.form.b1.eval(env)
         b2 = self.form.b2.eval(env)
-        return np.exp(-self.metric.nu.eval(env)) * np.hypot(b1, b2)
+        nu = self.metric.nu.eval(env)
+        e_mnu = np.exp(-nu)
+        _require_finite({"nu": nu, "b1": b1, "b2": b2, "exp(-nu)": e_mnu}, env)
+        return e_mnu * np.hypot(b1, b2)
 
     def b_sup(self) -> float:
         """Max of b(x) on a base grid three times finer than the sampling's."""

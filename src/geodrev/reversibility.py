@@ -38,6 +38,7 @@ from .metric import (
     sample_grid,
     zero_threshold,
 )
+from .scalarfield import _require_finite
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +66,7 @@ class _Ladder:
 
 
 def _ladder(phi: PhiFunction, s) -> _Ladder:
-    """Check |s| < b0 and evaluate the six profile fields at +-s once."""
+    """Check |s| < b0, evaluate the six profile fields at +-s once, check them finite."""
     phi.check_s(s)
     pp = phi.phi(s=s)
     pm = phi.phi(s=-s)
@@ -73,6 +74,8 @@ def _ladder(phi: PhiFunction, s) -> _Ladder:
     d1m = phi.d1(s=-s)
     d2p = phi.d2(s=s)
     d2m = phi.d2(s=-s)
+    _require_finite({"phi": pp, "phi'": d1p, "phi''": d2p}, {"s": s})
+    _require_finite({"phi": pm, "phi'": d1m, "phi''": d2m}, {"s": -s})
     return _Ladder(s, pp, pm, d1p, d1m, d2p, d2m, d1p * d2m + d1m * d2p)
 
 
@@ -105,10 +108,10 @@ class PointData:
 
 
 def point_data(form: LinearForm, metric: IsothermalMetric, x1, x2) -> PointData:
-    """Evaluate nu, the form components and all their first partials at x."""
+    """Evaluate nu, the form components and their first partials at x; all must be finite."""
     env = {"x1": x1, "x2": x2}
     nu = metric.nu.eval(env)
-    return PointData(
+    pd = PointData(
         nu=nu,
         nu1=metric.nu1.eval(env),
         nu2=metric.nu2.eval(env),
@@ -120,6 +123,8 @@ def point_data(form: LinearForm, metric: IsothermalMetric, x1, x2) -> PointData:
         db2_dx1=form.db2_d1.eval(env),
         db2_dx2=form.db2_d2.eval(env),
     )
+    _require_finite(vars(pd), env)
+    return pd
 
 
 @dataclass(frozen=True)
@@ -140,6 +145,53 @@ def _fiber(pd: PointData, t) -> _Fiber:
     return _Fiber(ct, st, beta, beta_t, pd.nu1 * ct + pd.nu2 * st, pd.nu2 * ct - pd.nu1 * st)
 
 
+@dataclass(frozen=True)
+class _CoordData:
+    """Coordinate partials of p to second order at one fiber angle."""
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    d: np.ndarray
+    f0: np.ndarray  # phi(beta)
+    dp_dx1: np.ndarray
+    dp_dx2: np.ndarray
+    dp_dt: np.ndarray
+    dp_dx1dt: np.ndarray
+    dp_dx2dt: np.ndarray
+    dp_dtt: np.ndarray
+
+
+def _coord_data(pd: PointData, fb: _Fiber, f0, f1, f2) -> _CoordData:
+    """Partials of p from phi, phi' and phi'' (f0, f1, f2) at the fiber's beta."""
+    ct, st, beta, beta_t = fb.ct, fb.st, fb.beta, fb.beta_t
+    a = pd.e_mnu * (pd.db1_dx1 * ct + pd.db2_dx1 * st) - pd.nu1 * beta
+    b = pd.e_mnu * (pd.db1_dx2 * ct + pd.db2_dx2 * st) - pd.nu2 * beta
+    c = pd.e_mnu * (-pd.db1_dx1 * st + pd.db2_dx1 * ct) - pd.nu1 * beta_t
+    d = pd.e_mnu * (-pd.db1_dx2 * st + pd.db2_dx2 * ct) - pd.nu2 * beta_t
+    return _CoordData(
+        a=a,
+        b=b,
+        c=c,
+        d=d,
+        f0=f0,
+        dp_dx1=f1 * a,
+        dp_dx2=f1 * b,
+        dp_dt=f1 * beta_t,
+        dp_dx1dt=f2 * beta_t * a + f1 * c,
+        dp_dx2dt=f2 * beta_t * b + f1 * d,
+        dp_dtt=f2 * (beta_t * beta_t) - f1 * beta,
+    )
+
+
+def _p1(pd: PointData, fb: _Fiber, cd: _CoordData):
+    return pd.e_mnu * (-cd.dp_dx1 * fb.st + cd.dp_dx2 * fb.ct - cd.dp_dt * fb.nu_plus)
+
+
+def _p32(pd: PointData, fb: _Fiber, cd: _CoordData):
+    return pd.e_mnu * (cd.dp_dx1dt * fb.ct + cd.dp_dx2dt * fb.st + cd.dp_dtt * fb.nu_minus)
+
+
 def curl21(form: LinearForm, x) -> float:
     """d(b2)/dx1 - d(b1)/dx2 at the base point x."""
     env = {"x1": x[0], "x2": x[1]}
@@ -158,8 +210,7 @@ class MCoefficients:
 
 def m_coeffs(form: LinearForm, metric: IsothermalMetric, x) -> MCoefficients:
     """Angular Fourier coefficients K1, K2, K3 of the base obstruction."""
-    pd = point_data(form, metric, x[0], x[1])
-    return _m_coeffs_from_point(pd)
+    return _m_coeffs_from_point(point_data(form, metric, x[0], x[1]))
 
 
 def _m_coeffs_from_point(pd: PointData) -> MCoefficients:
@@ -236,9 +287,8 @@ def integrability_obstruction(metric: IsothermalMetric, x):
 
 def gauss_curvature(metric: IsothermalMetric, x):
     """k = -e^{-2 nu} * (nu_11 + nu_22) in isothermal coordinates."""
-    env = {"x1": x[0], "x2": x[1]}
-    lap = metric.nu11.eval(env) + metric.nu22.eval(env)
-    return -np.exp(-2.0 * metric.nu.eval(env)) * lap
+    lap = integrability_obstruction(metric, x)
+    return -np.exp(-2.0 * metric.nu.eval({"x1": x[0], "x2": x[1]})) * lap
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +343,7 @@ class Classification:
 def _zero_test(values: np.ndarray, eps_zero: float) -> ZeroTest:
     peak = float(np.max(np.abs(values)))
     thr = zero_threshold(eps_zero, peak)
-    return ZeroTest(peak, thr, peak <= thr)
+    return ZeroTest(peak, thr, peak <= thr < np.inf)  # never on inf or nan
 
 
 def classify(bundle: MetricBundle, sampling: Optional[Sampling] = None) -> Classification:
@@ -304,8 +354,6 @@ def classify(bundle: MetricBundle, sampling: Optional[Sampling] = None) -> Class
     then the locked-down base (M == 0, curl == 0, constant data), then
     base-projective triviality, and finally a frankly nonzero residual.
     """
-    from .frames import _coord_data, _p1, _p32  # local import: frames also imports us
-
     bundle.require_valid()
     sampling = sampling or bundle.sampling
     eps0 = sampling.eps_zero
@@ -321,13 +369,11 @@ def classify(bundle: MetricBundle, sampling: Optional[Sampling] = None) -> Class
     e_values = ladder.E()
     curl_values = pd.db2_dx1 - pd.db1_dx2
     m_values = _m_direct_from_point(pd, fb)
-    b_variation = max(
-        float(np.ptp(pd.b1)) if np.ndim(pd.b1) else 0.0,
-        float(np.ptp(pd.b2)) if np.ndim(pd.b2) else 0.0,
-    )
+    b_variation = max(float(np.ptp(pd.b1)), float(np.ptp(pd.b2)))
     b_scale = max(float(np.max(np.abs(pd.b1))), float(np.max(np.abs(pd.b2))))
-    nu_variation = float(np.ptp(pd.nu)) if np.ndim(pd.nu) else 0.0
+    nu_variation = float(np.ptp(pd.nu))
     nu_scale = float(np.max(np.abs(pd.nu)))
+    b_thr, nu_thr = zero_threshold(eps0, b_scale), zero_threshold(eps0, nu_scale)
 
     # phi, phi' and phi'' at beta serve the residual and the frame partials
     beta_ladder = _ladder(bundle.phi, fb.beta)
@@ -341,8 +387,8 @@ def classify(bundle: MetricBundle, sampling: Optional[Sampling] = None) -> Class
         "E": _zero_test(e_values, eps0),
         "curl": _zero_test(curl_values, eps0),
         "M": _zero_test(m_values, eps0),
-        "b_const": ZeroTest(b_variation, zero_threshold(eps0, b_scale), b_variation <= zero_threshold(eps0, b_scale)),
-        "nu_const": ZeroTest(nu_variation, zero_threshold(eps0, nu_scale), nu_variation <= zero_threshold(eps0, nu_scale)),
+        "b_const": ZeroTest(b_variation, b_thr, b_variation <= b_thr < np.inf),
+        "nu_const": ZeroTest(nu_variation, nu_thr, nu_variation <= nu_thr < np.inf),
         "residual": _zero_test(residual_values, eps0),
     }
 
@@ -362,12 +408,7 @@ def classify(bundle: MetricBundle, sampling: Optional[Sampling] = None) -> Class
                 f"odd part of phi is not a multiple of s on (0, b0 = {bundle.phi.b0:.6g})"
             )
         verdict = Verdict.CLASS_A
-    elif (
-        evidence["M"].passed
-        and evidence["curl"].passed
-        and evidence["b_const"].passed
-        and evidence["nu_const"].passed
-    ):
+    elif all(evidence[key].passed for key in ("M", "curl", "b_const", "nu_const")):
         verdict = Verdict.CLASS_B
     elif evidence["M2"].passed:
         verdict = Verdict.TRIVIALLY_PROJECTIVELY_FLAT

@@ -1,27 +1,14 @@
-"""Process-level runtime knobs."""
+"""Process-level runtime: everything runs on one thread.
 
-from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-THREADS_ENV_VAR = "GEODREV_THREADS"
+A thread pool cannot speed up work that runs as Python bytecode under the
+interpreter lock.  The tracer of ``perfbench`` wraps ``ordered_map`` and
+calls ``thread_cap``, which is why both stay.
+"""
 
 
 def thread_cap() -> int:
-    """Parallelism cap from the environment; defaults to serial execution."""
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    return 1
 
 
 def ordered_map(fn, items) -> list:
-    """Map preserving input order; uses a thread pool only when capped above 1."""
-    items = list(items)
-    cap = thread_cap()
-    if cap <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(cap, len(items))) as pool:
-        return list(pool.map(fn, items))
+    return [fn(item) for item in items]

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import operator
-import threading
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Union
 
@@ -203,6 +202,16 @@ class _BinaryOp:
     derivative: Callable[[Binary, Expr, Expr], Expr]  # from the node, d(left) and d(right)
 
 
+def _quotient_rule(e: Binary, da: Expr, db: Expr) -> Expr:
+    """(da*c - a*dc) / c^2 for e = a/c; a constant c whose square overflows or
+    underflows divides twice, so that d(x/1e200) = 1e-200 evaluates."""
+    numerator = sub(mul(da, e.right), mul(e.left, db))
+    square = power(e.right, 2)
+    if isinstance(e.right, Const) and not (isinstance(square, Const) and 0.0 < square.value < math.inf):
+        return div(div(numerator, e.right), e.right)
+    return div(numerator, square)
+
+
 _UNARY = _OpTable(
     neg=_UnaryOp(operator.neg, operator.neg, None, "", lambda e, da: neg(da), self_inverse=True),
     sin=_UnaryOp(math.sin, np.sin, None, "", lambda e, da: mul(func("cos", e.arg), da)),
@@ -222,8 +231,7 @@ _BINARY = _OpTable({
     "-": _BinaryOp(sub, operator.sub, None, "", lambda e, da, db: sub(da, db)),
     "*": _BinaryOp(mul, operator.mul, None, "",
                    lambda e, da, db: add(mul(da, e.right), mul(e.left, db))),
-    "/": _BinaryOp(div, operator.truediv, lambda b: b == 0.0, "division by zero",
-                   lambda e, da, db: div(sub(mul(da, e.right), mul(e.left, db)), power(e.right, 2))),
+    "/": _BinaryOp(div, operator.truediv, lambda b: b == 0.0, "division by zero", _quotient_rule),
 })
 
 
@@ -397,6 +405,17 @@ def _domain_error(message: str, bad: np.ndarray, env: Mapping[str, Value]) -> Ev
     return EvalDomainError(f"{message} at {', '.join(coords)}" if coords else message)
 
 
+def _require_finite(fields: Mapping[str, Value], env: Mapping[str, Value]) -> None:
+    """Raise EvalDomainError naming the first of ``fields`` with a value that is not
+    finite and the first point of ``env``, in row order, where it has one.
+
+    eval_expr does not check: every RK4 stage would pay for it."""
+    for name, values in fields.items():
+        if not np.isfinite(values).all():
+            bad = np.broadcast_to(~np.isfinite(values), np.broadcast(values, *env.values()).shape)
+            raise _domain_error(f"{name} is not finite", bad, env)
+
+
 def eval_expr(e: Expr, env: Mapping[str, Value]) -> Value:
     if isinstance(e, Const):
         return e.value
@@ -515,17 +534,14 @@ def to_text(e: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# ScalarField: an expression plus its declared variables, with lazily cached
-# symbolic partial derivatives.  Immutable after construction; the derivative
-# cache is populated under a lock so concurrent readers are safe.
+# ScalarField: an expression plus its declared variables.  Immutable; each
+# diff builds a new field, which the caller keeps.
 
 
 class ScalarField:
     def __init__(self, expr: Expr, variables):
         self._expr = expr
         self._vars = tuple(variables)
-        self._dcache: dict[str, "ScalarField"] = {}
-        self._lock = threading.Lock()
 
     @classmethod
     def parse(cls, text: str, variables) -> "ScalarField":
@@ -552,12 +568,7 @@ class ScalarField:
     def diff(self, name: str) -> "ScalarField":
         if name not in self._vars:
             raise ExpressionError(f"variable {name!r} is not declared for this field")
-        with self._lock:
-            cached = self._dcache.get(name)
-            if cached is None:
-                cached = ScalarField(diff_expr(self._expr, name), self._vars)
-                self._dcache[name] = cached
-            return cached
+        return ScalarField(diff_expr(self._expr, name), self._vars)
 
     def __repr__(self) -> str:
         return f"ScalarField({to_text(self._expr)!r}, vars={self._vars})"

@@ -2,12 +2,23 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import geodrev
-from geodrev import ConvexityError, PhiFunction, calE, calF, integrate, reversibility_error
+from geodrev import (
+    ConvexityError,
+    LinearForm,
+    PhiFunction,
+    calE,
+    calF,
+    integrate,
+    reversibility_error,
+)
 from geodrev import cli
 from geodrev.cli import main
 from geodrev.config import ConfigError, parse_config
@@ -524,6 +535,33 @@ class TestErrorExitCodes:
         assert code == 0
         assert "bundle validation: PASS" in capsys.readouterr().out
 
+    def test_tiny_coefficient_classifies(self, tmp_path, capsys):
+        # d(x1/1e200)/dx1 divides by 1e200 twice: its square overflows
+        cfg = CLASS_B_CONFIG.replace('b1 = "0.2"', 'b1 = "0.1 + x1/1e200"')
+        assert main(["classify", write(tmp_path, cfg)]) == 0
+        assert "verdict: " in capsys.readouterr().out
+        assert LinearForm.from_text("0.1 + x1/1e200", "0").db1_d1(x1=0.3, x2=-0.2) == 1e-200
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["validate", "classify", "scan"])
+    def test_non_finite_nu_is_config_error(self, tmp_path, capsys, command):
+        cfg = CLASS_B_CONFIG.replace('nu = "0"', 'nu = "exp(exp(10*x1))"')
+        out = tmp_path / "r.csv"
+        extra = ["--what", "residual", "--out", str(out)] if command == "scan" else []
+        code = main([command, write(tmp_path, cfg), *extra])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error: nu is not finite at x1=")
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["validate", "classify"])
+    def test_nan_form_names_first_point(self, tmp_path, capsys, command):
+        cfg = CLASS_B_CONFIG.replace('b1 = "0.2"', 'b1 = "sin(1e400)"')
+        code = main([command, write(tmp_path, cfg)])
+        assert code == 1
+        assert capsys.readouterr().err == "config error: b1 is not finite at x1=-1.0, x2=-1.0\n"
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_profile_prints_witness(self, tmp_path, capsys):
         cfg = CLASS_B_CONFIG.replace(
@@ -543,3 +581,78 @@ class TestErrorExitCodes:
         )
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+# Small configs drawn from the DSL grammar, with overflowing powers, exp of
+# exp, poles and out-of-range constants: validate and classify end with an
+# exit code, never with an exception.
+_LEAVES = {
+    ("x1", "x2"): ["x1", "x2", "0", "0.1", "2", "1e200", "1e-200", "1e400"],
+    ("s",): ["s", "1", "0.3", "2", "1e200", "1e-200", "1e400"],
+}
+
+
+def _expressions(variables):
+    def compound(children):
+        return st.one_of(
+            st.tuples(children, st.sampled_from("+-*/"), children).map(
+                lambda p: f"({p[0]}) {p[1]} ({p[2]})"
+            ),
+            st.tuples(st.sampled_from(["exp", "ln", "sqrt", "sin", "cos"]), children).map(
+                lambda p: f"{p[0]}({p[1]})"
+            ),
+            children.map(lambda c: f"exp(exp({c}))"),
+            st.tuples(children, st.sampled_from([-400, -2, -1, 2, 3, 400])).map(
+                lambda p: f"({p[0]})^({p[1]})"
+            ),
+        )
+
+    return st.recursive(st.sampled_from(_LEAVES[variables]), compound, max_leaves=4)
+
+
+def _tame_or_raw(expressions, tame):
+    """Draws either wrapped into a range that usually validates, or raw."""
+    return expressions.map(tame) | expressions
+
+
+_BASE = _expressions(("x1", "x2"))
+_NU = _tame_or_raw(_BASE, lambda e: f"0.1*sin({e})")
+_FORM = _tame_or_raw(_BASE, lambda e: f"0.1 + 0.05*sin({e})")
+_PROFILE = _tame_or_raw(_expressions(("s",)), lambda e: f"sin({e})").map(
+    lambda e: f"1 + 0.1*s + 0.01*({e})"
+)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(nu=_NU, b1=_FORM, b2=_FORM, phi=_PROFILE, b0=st.sampled_from([0.4, 0.9]))
+def test_drawn_configs_end_with_an_exit_code(nu, b1, b2, phi, b0):
+    text = f"""
+[metric]
+nu = "{nu}"
+x1min = -1.0
+x1max = 1.0
+x2min = -1.0
+x2max = 1.0
+
+[form]
+b1 = "{b1}"
+b2 = "{b2}"
+
+[phi]
+kind = "expr"
+expr = "{phi}"
+b0 = {b0}
+
+[sampling]
+n_x1 = 8
+n_x2 = 8
+n_t = 8
+n_s = 64
+"""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "drawn.cfg")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        for command in ("validate", "classify"):
+            assert main([command, path]) in (0, 1, 2, 3)

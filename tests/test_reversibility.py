@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from geodrev import (
+    EvalDomainError,
     IsothermalMetric,
     LinearForm,
     MetricBundle,
@@ -24,6 +25,7 @@ from geodrev import (
     pde_residuals,
     residual,
 )
+from geodrev.reversibility import _ladder, _zero_test, point_data
 
 from conftest import CORPUS_PROFILES, EVEN_PLUS_LINEAR, make_irreversible_bundle
 
@@ -364,3 +366,31 @@ class TestClassify:
         assert result.verdict is Verdict.UNDETERMINED
         assert result.residual_max <= result.residual_cutoff
         assert not result.evidence["residual"].passed
+
+
+class TestNonFiniteSamples:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_point_data_names_first_point_in_row_order(self):
+        form = LinearForm.from_text("0.2", "exp(exp(20*x1))")
+        metric = IsothermalMetric.from_text("0", Rectangle(-1.0, 1.0, -1.0, 1.0))
+        x1 = np.array([[0.0], [0.6], [0.6], [0.4]])
+        x2 = np.array([[0.3], [-0.1], [0.2], [0.0]])
+        with pytest.raises(EvalDomainError, match=r"^b2 is not finite at x1=0.6, x2=-0.1$"):
+            point_data(form, metric, x1, x2)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_ladder_names_field_and_s(self):
+        phi = PhiFunction.from_text("1 + 0.1*s + 1e-300*exp(800*s)", 1.0)
+        with pytest.raises(EvalDomainError, match=r"^phi is not finite at s=0.9$"):
+            _ladder(phi, np.array([0.0, -0.9, 0.9]))
+
+    def test_zero_tests_fail_on_non_finite_values(self):
+        for values in ([0.0, math.inf], [math.nan, 0.0]):
+            assert not _zero_test(np.array(values), 1e-9).passed
+        assert _zero_test(np.array([0.0, 1e-12]), 1e-9).passed
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_infinite_odd_part_is_not_linear(self):
+        split = even_odd_decompose(PhiFunction.from_text("1 + 0.1*s + 1e-300*exp(800*s)", 1.0))
+        assert not split.is_class_A_shape
+        assert split.k2 is None

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+import threading
+
 import numpy as np
 
+import geodrev
 from geodrev.runtime import ordered_map, thread_cap
 from geodrev import reversibility_scan
 
@@ -11,31 +17,33 @@ def test_thread_cap_default(monkeypatch):
     assert thread_cap() == 1
 
 
-def test_thread_cap_parses_env(monkeypatch):
-    monkeypatch.setenv("GEODREV_THREADS", "4")
-    assert thread_cap() == 4
-    monkeypatch.setenv("GEODREV_THREADS", "not-a-number")
-    assert thread_cap() == 1
-    monkeypatch.setenv("GEODREV_THREADS", "0")
-    assert thread_cap() == 1
-
-
-def test_ordered_map_preserves_order(monkeypatch):
+def test_ordered_map_preserves_order():
     items = list(range(23))
-    monkeypatch.setenv("GEODREV_THREADS", "1")
-    serial = ordered_map(lambda v: v * v, items)
-    monkeypatch.setenv("GEODREV_THREADS", "4")
-    threaded = ordered_map(lambda v: v * v, items)
-    assert serial == threaded == [v * v for v in items]
+    assert ordered_map(lambda v: v * v, items) == [v * v for v in items]
 
 
 def test_direction_scan_identical_under_threading(monkeypatch):
+    # the former thread knob is ignored and the scan starts no thread
     bundle = make_class_b_bundle()
-    monkeypatch.setenv("GEODREV_THREADS", "1")
-    serial = reversibility_scan(bundle, (0.0, 0.0), 0.1, 2e-3, 4)
+    monkeypatch.delenv("GEODREV_THREADS", raising=False)
+    unset = reversibility_scan(bundle, (0.0, 0.0), 0.1, 2e-3, 4)
+
+    def refuse(self):
+        raise AssertionError("a direction scan started a thread")
+
     monkeypatch.setenv("GEODREV_THREADS", "3")
-    threaded = reversibility_scan(bundle, (0.0, 0.0), 0.1, 2e-3, 4)
-    assert [y for y, _ in serial] == [y for y, _ in threaded]
-    np.testing.assert_array_equal(
-        np.array([e for _, e in serial]), np.array([e for _, e in threaded])
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    knob = reversibility_scan(bundle, (0.0, 0.0), 0.1, 2e-3, 4)
+    assert [y for y, _ in unset] == [y for y, _ in knob]
+    np.testing.assert_array_equal(np.array([e for _, e in unset]), np.array([e for _, e in knob]))
+
+
+def test_cli_import_loads_no_thread_pool():
+    code = "import sys, geodrev.cli; print('concurrent.futures' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(geodrev.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120, check=True,
     )
+    assert proc.stdout.strip() == "False"

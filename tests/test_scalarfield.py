@@ -155,10 +155,6 @@ class TestDiff:
         with pytest.raises(Exception):
             ScalarField.parse("s", ("s",)).diff("t")
 
-    def test_diff_cache_returns_same_object(self):
-        f = ScalarField.parse("sin(s)", ("s",))
-        assert f.diff("s") is f.diff("s")
-
 
 class TestFdCheck:
     def test_quadratic(self):
@@ -226,16 +222,6 @@ def test_parse_print_parse_round_trip(text, variables, rng):
         assert abs(left - right) <= 1e-15 * (1.0 + abs(left))
 
 
-def test_diff_cache_is_thread_safe():
-    from concurrent.futures import ThreadPoolExecutor
-
-    f = ScalarField.parse("sin(s) * exp(s) / (1 + s^2)", ("s",))
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(lambda _: f.diff("s"), range(64)))
-    assert all(r is results[0] for r in results)
-    assert results[0](s=0.3) == pytest.approx(fd_check(f, "s", {"s": 0.3}, 1e-6), abs=1e-8)
-
-
 def test_derivative_round_trips_through_printer(rng):
     f = ScalarField.parse("1/(1-s) + sin(s)*exp(s)", ("s",))
     d2 = f.diff("s").diff("s")
@@ -271,10 +257,15 @@ class TestConstantFolding:
         assert parse_expr(text, ()) == node
 
     def test_derivative_with_overflowing_constant_builds(self):
-        d = ScalarField.parse("0.1 + x1/1e200", ("x1",)).diff("x1")
-        assert d.expr == Binary("/", Const(1e200), Power(Const(1e200), 2))
-        with pytest.raises(EvalDomainError, match=r"^integer power overflows at x1=0\.5$"):
-            d(x1=0.5)
+        # the quotient rule divides twice by a constant whose square
+        # overflows or underflows
+        for text, slope in (("0.1 + x1/1e200", 1e-200), ("x1/1e-200", 1e200)):
+            d = ScalarField.parse(text, ("x1",)).diff("x1")
+            assert d.expr == Const(slope)
+            assert d(x1=0.5) == slope
+        d = ScalarField.parse("x1^2/1e200", ("x1",)).diff("x1")
+        assert to_text(d.expr) == "2.0 * x1 * 1e+200 / 1e+200 / 1e+200"
+        assert d(x1=0.5) == pytest.approx(1e-200, rel=1e-15)
 
     def test_double_negation_cancels(self):
         assert parse_expr("--s", ("s",)) == Var("s")
