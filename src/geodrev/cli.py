@@ -5,10 +5,9 @@ expression evaluated outside its domain (EvalDomainError), a non-finite
 number, a start point outside the domain, a start vector of extreme length
 and a geodesic run too long for its trajectory buffer (PathTooLongError);
 2 validation failure, including a fiber Hessian of F^2 that is not
-positive definite along a geodesic (SingularHessianError), a failed
-convexity check of the frame oracle (ConvexityError) and classification
-evidence that contradicts itself (InconsistentEvidenceError); 3 geodesic
-truncated at the domain boundary.
+positive definite along a geodesic (SingularHessianError) and
+classification evidence that contradicts itself
+(InconsistentEvidenceError); 3 geodesic truncated at the domain boundary.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import sys
 import numpy as np
 
 from .config import ConfigError, load_config
-from .frames import ConvexityError, crosscheck
+from .frames import crosscheck
 from .geodesics import (
     SPEED_DECADES,
     PathTooLongError,
@@ -285,13 +284,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
-        return args.fn(args)
+        # Every non-finite sample raises EvalDomainError, so numpy's own
+        # warnings would only repeat that message on stderr.
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except (ConfigError, EvalDomainError, PathTooLongError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (
-        FinslerValidationError, SingularHessianError, ConvexityError, InconsistentEvidenceError
-    ) as exc:
+    except (FinslerValidationError, SingularHessianError, InconsistentEvidenceError) as exc:
         print(f"validation failure:\n{exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

@@ -31,6 +31,9 @@ import math
 from dataclasses import dataclass
 
 from .metric import (
+    BASE_VARS,
+    PHI_TEXTS,
+    PHI_VAR,
     IsothermalMetric,
     LinearForm,
     MetricBundle,
@@ -38,7 +41,7 @@ from .metric import (
     Rectangle,
     Sampling,
 )
-from .scalarfield import ExpressionError, ScalarField
+from .scalarfield import Expr, ExpressionError, ScalarField, parse_expr
 
 
 class ConfigError(ValueError):
@@ -107,28 +110,21 @@ def parse_raw(text: str) -> dict:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    nu_text: str
+    nu: Expr  # in x1, x2
     domain: Rectangle
-    b1_text: str
-    b2_text: str
-    phi_kind: str
-    phi_expr: str
+    b1: Expr  # in x1, x2
+    b2: Expr  # in x1, x2
+    phi: Expr  # in s
     b0: float
     sampling: Sampling
     T: float
     h: float
 
-    def build_phi(self) -> PhiFunction:
-        if self.phi_kind == "randers":
-            return PhiFunction.randers(self.b0)
-        if self.phi_kind == "matsumoto":
-            return PhiFunction.matsumoto(self.b0)
-        return PhiFunction.from_text(self.phi_expr, self.b0)
-
     def build_bundle(self) -> MetricBundle:
-        metric = IsothermalMetric.from_text(self.nu_text, self.domain)
-        form = LinearForm.from_text(self.b1_text, self.b2_text)
-        return MetricBundle(metric, form, self.build_phi(), self.sampling)
+        metric = IsothermalMetric(ScalarField(self.nu, BASE_VARS), self.domain)
+        form = LinearForm(ScalarField(self.b1, BASE_VARS), ScalarField(self.b2, BASE_VARS))
+        phi = PhiFunction(ScalarField(self.phi, (PHI_VAR,)), self.b0)
+        return MetricBundle(metric, form, phi, self.sampling)
 
 
 class _Section:
@@ -163,12 +159,13 @@ class _Section:
             return value
         raise ConfigError(f"key {key!r} must be a {kind.__name__}", line)
 
-
-def _check_expression(text: str, variables, what: str, line: int = 0) -> None:
-    try:
-        ScalarField.parse(text, variables)
-    except ExpressionError as exc:
-        raise ConfigError(f"bad expression for {what}: {exc}", line) from None
+    def expression(self, key: str, variables, what: str) -> Expr:
+        """The key's string parsed; a parse error names the key's line."""
+        text = self.require(key, str)
+        try:
+            return parse_expr(text, variables)
+        except ExpressionError as exc:
+            raise ConfigError(f"bad expression for {what}: {exc}", self.data[key][1]) from None
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -191,7 +188,7 @@ def parse_config(text: str) -> ExperimentConfig:
         return _Section(name, sections[name])
 
     metric = section("metric")
-    nu_text = metric.require("nu", str)
+    metric.require("nu", str)  # parsed last, after the structural checks
     domain = Rectangle(
         metric.require("x1min", float),
         metric.require("x1max", float),
@@ -202,12 +199,12 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("domain rectangle must have positive extent")
 
     form = section("form")
-    b1_text = form.require("b1", str)
-    b2_text = form.require("b2", str)
+    form.require("b1", str)
+    form.require("b2", str)
 
     phi = section("phi")
     kind = phi.require("kind", str)
-    if kind not in ("randers", "matsumoto", "expr"):
+    if kind != "expr" and kind not in PHI_TEXTS:
         raise ConfigError(f"phi kind must be randers, matsumoto or expr, got {kind!r}")
     expr = phi.get("expr", str, "")
     if kind == "expr" and not expr:
@@ -242,19 +239,16 @@ def parse_config(text: str) -> ExperimentConfig:
     if T <= 0 or h <= 0:
         raise ConfigError("T and h must be positive")
 
-    _check_expression(nu_text, ("x1", "x2"), "nu")
-    _check_expression(b1_text, ("x1", "x2"), "b1")
-    _check_expression(b2_text, ("x1", "x2"), "b2")
-    if kind == "expr":
-        _check_expression(expr, ("s",), "phi")
-
     return ExperimentConfig(
-        nu_text=nu_text,
+        nu=metric.expression("nu", BASE_VARS, "nu"),
         domain=domain,
-        b1_text=b1_text,
-        b2_text=b2_text,
-        phi_kind=kind,
-        phi_expr=expr,
+        b1=form.expression("b1", BASE_VARS, "b1"),
+        b2=form.expression("b2", BASE_VARS, "b2"),
+        phi=(
+            phi.expression("expr", (PHI_VAR,), "phi")
+            if kind == "expr"
+            else parse_expr(PHI_TEXTS[kind], (PHI_VAR,))
+        ),
         b0=b0,
         sampling=sampling,
         T=T,

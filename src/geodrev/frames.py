@@ -63,27 +63,20 @@ class ConvexityError(ValueError):
 # Coframe and dual frame
 
 
-@dataclass(frozen=True)
-class CoframeAtPoint:
-    """Rows express three 1-forms in the coordinate cobasis (dx1, dx2, dt)."""
-
-    rows: np.ndarray  # shape (3, 3)
-
-
-def alpha_coframe(metric: IsothermalMetric, x, t) -> CoframeAtPoint:
+def alpha_coframe(metric: IsothermalMetric, x, t) -> np.ndarray:
+    """Rows a1, a2, a3 in the coordinate cobasis (dx1, dx2, dt), shape (3, 3)."""
     pd_env = {"x1": x[0], "x2": x[1]}
     e_nu = np.exp(metric.nu.eval(pd_env))
     nu1 = metric.nu1.eval(pd_env)
     nu2 = metric.nu2.eval(pd_env)
     ct, st = np.cos(t), np.sin(t)
-    rows = np.array(
+    return np.array(
         [
             [-e_nu * st, e_nu * ct, 0.0],
             [e_nu * ct, e_nu * st, 0.0],
             [-nu2, nu1, 1.0],
         ]
     )
-    return CoframeAtPoint(rows)
 
 
 def dual_frame(metric: IsothermalMetric, x, t) -> np.ndarray:
@@ -149,8 +142,9 @@ def directional_grid(pd: PointData, phi: PhiFunction, t) -> DirectionalDerivs:
     )
 
 
-def _frame_fd_derivs(bundle: MetricBundle, x, t) -> DirectionalDerivs:
-    """Directional derivatives by central differences along the dual frame.
+def frame_fd_derivs(bundle: MetricBundle, x, t) -> DirectionalDerivs:
+    """Directional derivatives by central differences along the dual frame,
+    the oracle that directional_derivs is tested against.
 
     The step sizes are tiered: plain 1e-5 (scaled by the coordinate extent)
     is optimal for first derivatives but drowns third-order stencils in
@@ -196,24 +190,19 @@ def _frame_fd_derivs(bundle: MetricBundle, x, t) -> DirectionalDerivs:
     )
 
 
-def directional_derivs(
-    bundle: MetricBundle, x, t, mode: str = "closed_form"
-) -> DirectionalDerivs:
-    if mode == "closed_form":
-        pd = point_data(bundle.form, bundle.metric, x[0], x[1])
-        return directional_grid(pd, bundle.phi, t)
-    if mode == "frame_fd":
-        return _frame_fd_derivs(bundle, x, t)
-    raise ValueError(f"unknown mode {mode!r}")
+def directional_derivs(bundle: MetricBundle, x, t) -> DirectionalDerivs:
+    """Closed-form directional derivatives of p at (x, t)."""
+    pd = point_data(bundle.form, bundle.metric, x[0], x[1])
+    return directional_grid(pd, bundle.phi, t)
 
 
 # ---------------------------------------------------------------------------
 # Deformed coframe of the Finsler structure
 
 
-def omega_coframe(bundle: MetricBundle, x, t) -> CoframeAtPoint:
+def omega_coframe(bundle: MetricBundle, x, t) -> np.ndarray:
     """Coframe rows w1, w2, w3 built from the directional derivatives of p."""
-    alpha = alpha_coframe(bundle.metric, x, t).rows
+    alpha = alpha_coframe(bundle.metric, x, t)
     dd = directional_derivs(bundle, x, t)
     convexity = dd.p + dd.p33
     if convexity <= 0.0:
@@ -237,7 +226,7 @@ def omega_coframe(bundle: MetricBundle, x, t) -> CoframeAtPoint:
     w3 = (convexity * alpha[2] + (dd.p32 - dd.p1) * alpha[1]) / root + (
         p_p / np.sqrt(dd.p ** 3 * convexity ** 3)
     ) * alpha[0]
-    return CoframeAtPoint(np.array([w1, w2, w3]))
+    return np.array([w1, w2, w3])
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ import numpy as np
 
 from .metric import IsothermalMetric, MetricBundle
 from .runtime import ordered_map
+from .scalarfield import EvalDomainError
 
 
 # A tangent vector's length must lie in [1e-SPEED_DECADES, 1e+SPEED_DECADES]:
@@ -37,10 +38,10 @@ class PathTooLongError(ValueError):
 
 @dataclass(frozen=True)
 class GeodesicPath:
+    """A fixed-step run, which starts at samples[0] with velocity velocities[0]."""
+
     samples: np.ndarray      # (n, 2) base points
     velocities: np.ndarray   # (n, 2) matching velocities
-    x0: tuple
-    y0: tuple
     h: float
     duration: float
     truncated: bool          # True when the path left the domain rectangle early
@@ -204,6 +205,15 @@ def _rk4_batch(rate, domain, x0s, y0s, Ts, h: float) -> list[GeodesicPath]:
         inside = domain.contains(state[:, 0], state[:, 1])
         done = ~inside | (n_steps[live] <= step)
         if done.any():
+            # A non-finite state is never inside.  An overflowing or nan flow
+            # is no exit from the domain: name the first such row's last
+            # finite state.
+            finite = np.isfinite(state).all(axis=1)
+            if not finite.all():
+                x1, x2, y1, y2 = traj[live[finite.argmin()], step - 1].tolist()
+                raise EvalDomainError(
+                    f"geodesic flow is not finite at x=({x1}, {x2}), y=({y1}, {y2})"
+                )
             # a row that left the domain keeps the steps before this one
             left = live[~inside]
             counts[live[done]] = step
@@ -211,11 +221,8 @@ def _rk4_batch(rate, domain, x0s, y0s, Ts, h: float) -> list[GeodesicPath]:
             truncated[left] = True
             live, state = live[~done], state[~done]
     return [
-        GeodesicPath(
-            traj[i, : c + 1, :2].copy(), traj[i, : c + 1, 2:].copy(), tuple(x0), tuple(y0),
-            h, c * h, t,
-        )
-        for i, (c, t, x0, y0) in enumerate(zip(counts.tolist(), truncated.tolist(), x0s, y0s))
+        GeodesicPath(traj[i, : c + 1, :2].copy(), traj[i, : c + 1, 2:].copy(), h, c * h, t)
+        for i, (c, t) in enumerate(zip(counts.tolist(), truncated.tolist()))
     ]
 
 
@@ -243,8 +250,7 @@ def path_prefix(path: GeodesicPath, T: float) -> GeodesicPath:
         raise ValueError("path is shorter than the requested duration")
     k = min(n, count)
     return GeodesicPath(
-        path.samples[: k + 1], path.velocities[: k + 1], path.x0, path.y0, path.h,
-        k * path.h, count < n,
+        path.samples[: k + 1], path.velocities[: k + 1], path.h, k * path.h, count < n
     )
 
 

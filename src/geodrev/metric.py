@@ -34,6 +34,8 @@ from .scalarfield import (
 
 PHI_VAR = "s"
 BASE_VARS = ("x1", "x2")
+# The named profiles, by the [phi] kind that selects them in a config.
+PHI_TEXTS = {"randers": "1 + s", "matsumoto": "1 / (1 - s)"}
 
 
 class FinslerValidationError(ValueError):
@@ -69,11 +71,11 @@ class PhiFunction:
 
     @classmethod
     def randers(cls, b0: float = 0.9) -> "PhiFunction":
-        return cls.from_text("1 + s", b0)
+        return cls.from_text(PHI_TEXTS["randers"], b0)
 
     @classmethod
     def matsumoto(cls, b0: float = 0.4) -> "PhiFunction":
-        return cls.from_text("1 / (1 - s)", b0)
+        return cls.from_text(PHI_TEXTS["matsumoto"], b0)
 
     @classmethod
     def even_polynomial(cls, coeffs, b0: float) -> "PhiFunction":

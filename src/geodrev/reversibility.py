@@ -32,7 +32,6 @@ from .metric import (
     LinearForm,
     MetricBundle,
     PhiFunction,
-    Sampling,
     _beta_pair,
     even_odd_decompose,
     sample_grid,
@@ -346,7 +345,7 @@ def _zero_test(values: np.ndarray, eps_zero: float) -> ZeroTest:
     return ZeroTest(peak, thr, peak <= thr < np.inf)  # never on inf or nan
 
 
-def classify(bundle: MetricBundle, sampling: Optional[Sampling] = None) -> Classification:
+def classify(bundle: MetricBundle) -> Classification:
     """Grid-based verdict for the bundle, with the evidence behind it.
 
     Pattern checks run from the strongest structural property downward:
@@ -355,7 +354,7 @@ def classify(bundle: MetricBundle, sampling: Optional[Sampling] = None) -> Class
     base-projective triviality, and finally a frankly nonzero residual.
     """
     bundle.require_valid()
-    sampling = sampling or bundle.sampling
+    sampling = bundle.sampling
     eps0 = sampling.eps_zero
     report = bundle.validate()
 

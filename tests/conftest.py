@@ -91,6 +91,11 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def doubled(bundle):
+    """The same structure with every sampling count doubled."""
+    return MetricBundle(bundle.metric, bundle.form, bundle.phi, bundle.sampling.doubled())
+
+
 def random_points(bundle, rng, n):
     """Random interior (x, t) samples for a bundle, away from the boundary."""
     d = bundle.metric.domain

@@ -29,9 +29,10 @@ from geodrev import (
     spray,
     structure_residuals,
 )
+from geodrev.frames import frame_fd_derivs
 from geodrev.scalarfield import ScalarField, fd_check
 
-from conftest import CORPUS_PROFILES, EVEN_PLUS_LINEAR, random_points
+from conftest import CORPUS_PROFILES, EVEN_PLUS_LINEAR, doubled, random_points
 
 
 @contextmanager
@@ -139,7 +140,7 @@ def test_criterion_6_classification(witness_bundles):
         for key, bundle in witness_bundles.items():
             coarse = classify(bundle)
             assert coarse.verdict is expected[key], key
-            fine = classify(bundle, bundle.sampling.doubled())
+            fine = classify(doubled(bundle))
             assert fine.verdict is expected[key], key
 
 
@@ -203,8 +204,8 @@ def test_criterion_9_derivative_pipeline(witness_bundles, rng):
         for bundle in witness_bundles.values():
             x1s, x2s, ts = random_points(bundle, rng, 4)
             for x1, x2, t in zip(x1s, x2s, ts):
-                closed = directional_derivs(bundle, (x1, x2), t, mode="closed_form")
-                fd = directional_derivs(bundle, (x1, x2), t, mode="frame_fd")
+                closed = directional_derivs(bundle, (x1, x2), t)
+                fd = frame_fd_derivs(bundle, (x1, x2), t)
                 for name in ("p", "p1", "p2", "p3", "p31", "p32", "p33", "p332", "p333"):
                     c = float(getattr(closed, name))
                     f = float(getattr(fd, name))

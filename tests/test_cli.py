@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import geodrev
 from geodrev import (
-    ConvexityError,
     LinearForm,
     PhiFunction,
     calE,
@@ -19,9 +18,13 @@ from geodrev import (
     integrate,
     reversibility_error,
 )
-from geodrev import cli
+from geodrev import config
 from geodrev.cli import main
-from geodrev.config import ConfigError, parse_config
+from geodrev.config import ConfigError, load_config, parse_config
+from geodrev.metric import PHI_TEXTS
+from geodrev.scalarfield import parse_expr
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 CLASS_A_CONFIG = """
 # reversible: even-plus-linear profile over a closed form
@@ -138,7 +141,7 @@ def write(tmp_path, text, name="exp.cfg"):
 class TestConfigParsing:
     def test_full_round_trip(self, tmp_path):
         cfg = parse_config(CLASS_B_CONFIG)
-        assert cfg.phi_kind == "matsumoto"
+        assert cfg.phi == parse_expr(PHI_TEXTS["matsumoto"], ("s",))
         assert cfg.b0 == 0.4
         assert cfg.sampling.n_t == 64
         bundle = cfg.build_bundle()
@@ -169,9 +172,28 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config(CLASS_B_CONFIG.replace('"0.2"', '"0.2 + q"'))
 
+    def test_bad_expression_names_its_line(self):
+        b1_line = CLASS_B_CONFIG.splitlines().index('b1 = "0.2"') + 1
+        with pytest.raises(ConfigError) as info:
+            parse_config(CLASS_B_CONFIG.replace('"0.2"', '"0.2 + q"'))
+        assert info.value.line == b1_line
+        assert str(info.value).startswith(f"line {b1_line}: bad expression for b1: ")
+
+    def test_each_expression_is_parsed_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_parse_expr(text, allowed_vars):
+            calls.append(text)
+            return parse_expr(text, allowed_vars)
+
+        monkeypatch.setattr(geodrev.scalarfield, "parse_expr", counting_parse_expr)
+        monkeypatch.setattr(config, "parse_expr", counting_parse_expr, raising=False)
+        load_config(write(tmp_path, CLASS_B_CONFIG)).build_bundle()
+        assert len(calls) == 4  # nu, b1, b2 and phi
+
     def test_comments_and_quotes(self):
         cfg = parse_config(CLASS_A_CONFIG)
-        assert cfg.nu_text.startswith("-ln")
+        assert cfg.nu == parse_expr("-ln(1 + (x1^2 + x2^2)/4)", ("x1", "x2"))
 
     @pytest.mark.parametrize(
         "key, value",
@@ -208,6 +230,14 @@ class TestConfigParsing:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
         assert outputs[0].startswith("verdict: ClassA")
+
+    def test_readme_example_validates_and_classifies(self, tmp_path, capsys):
+        """The documented format cannot drift from the parser."""
+        with open(README, encoding="utf-8") as handle:
+            block = handle.read().split("```ini\n", 1)[1].split("```", 1)[0]
+        path = write(tmp_path, block)
+        for command in ("validate", "classify"):
+            assert main([command, path]) == 0, capsys.readouterr().err
 
 
 class TestValidateCommand:
@@ -494,17 +524,14 @@ class TestErrorExitCodes:
         assert code == 2
         assert "fiber Hessian of F^2 not positive definite at x=(" in err
 
-    def test_convexity_error_is_validation_failure(self, tmp_path, capsys, monkeypatch):
-        def failing_crosscheck(bundle, x, t):
-            raise ConvexityError((0.25, -0.5), 1.5, -0.01)
-
-        monkeypatch.setattr(cli, "crosscheck", failing_crosscheck)
-        code = main(
-            ["scan", write(tmp_path, SCAN_CONFIG), "--what", "crosscheck", "--out", str(tmp_path / "c.csv")]
-        )
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "at x=(0.25, -0.5), t=1.5" in err
+    def test_non_finite_geodesic_flow_is_config_error(self, tmp_path, capsys):
+        # nu overflows near x1 = 0.01, between the points of the validation grid
+        path = write(tmp_path, CLASS_B_CONFIG.replace('nu = "0"', 'nu = "exp(800 - 1e8*(x1 - 0.01)^2)"'))
+        assert main(["validate", path]) == 0
+        argv = ["geodesic", path, "--x0", "0.01,0", "--y0", "1,0", "--T", "0.01", "--out", str(tmp_path / "p.csv")]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "config error: geodesic flow is not finite at x=(0.01, 0.0), y=(1.0, 0.0)\n"
 
     def test_inconsistent_evidence_is_validation_failure(self, tmp_path, capsys):
         code = main(["classify", write(tmp_path, INCONSISTENT_CONFIG)])
@@ -512,7 +539,7 @@ class TestErrorExitCodes:
         assert code == 2
         assert "odd part of phi is not a multiple of s" in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", ["validate", "classify"])
     @pytest.mark.parametrize(
         "b1", ["exp(1000)", "10^400", "sin(1e400)", "(0.5)^(-2000)", "0.1 + 1e-300*(10*x1)^400"]
@@ -542,7 +569,7 @@ class TestErrorExitCodes:
         assert "verdict: " in capsys.readouterr().out
         assert LinearForm.from_text("0.1 + x1/1e200", "0").db1_d1(x1=0.3, x2=-0.2) == 1e-200
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", ["validate", "classify", "scan"])
     def test_non_finite_nu_is_config_error(self, tmp_path, capsys, command):
         cfg = CLASS_B_CONFIG.replace('nu = "0"', 'nu = "exp(exp(10*x1))"')
@@ -554,7 +581,7 @@ class TestErrorExitCodes:
         assert err.startswith("config error: nu is not finite at x1=")
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", ["validate", "classify"])
     def test_nan_form_names_first_point(self, tmp_path, capsys, command):
         cfg = CLASS_B_CONFIG.replace('b1 = "0.2"', 'b1 = "sin(1e400)"')
@@ -562,7 +589,7 @@ class TestErrorExitCodes:
         assert code == 1
         assert capsys.readouterr().err == "config error: b1 is not finite at x1=-1.0, x2=-1.0\n"
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_profile_prints_witness(self, tmp_path, capsys):
         cfg = CLASS_B_CONFIG.replace(
             'kind = "matsumoto"', 'kind = "expr"\nexpr = "1 + 0.1*s + 1e-300*exp(800*s)"'
@@ -584,8 +611,8 @@ class TestErrorExitCodes:
 
 
 # Small configs drawn from the DSL grammar, with overflowing powers, exp of
-# exp, poles and out-of-range constants: validate and classify end with an
-# exit code, never with an exception.
+# exp, poles and out-of-range constants: every command ends with an exit
+# code, never with an exception or a numpy warning.
 _LEAVES = {
     ("x1", "x2"): ["x1", "x2", "0", "0.1", "2", "1e200", "1e-200", "1e400"],
     ("s",): ["s", "1", "0.3", "2", "1e200", "1e-200", "1e400"],
@@ -623,7 +650,7 @@ _PROFILE = _tame_or_raw(_expressions(("s",)), lambda e: f"sin({e})").map(
 )
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(nu=_NU, b1=_FORM, b2=_FORM, phi=_PROFILE, b0=st.sampled_from([0.4, 0.9]))
 def test_drawn_configs_end_with_an_exit_code(nu, b1, b2, phi, b0):
@@ -654,5 +681,13 @@ n_s = 64
         path = os.path.join(tmp, "drawn.cfg")
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
-        for command in ("validate", "classify"):
-            assert main([command, path]) in (0, 1, 2, 3)
+        out = os.path.join(tmp, "out.csv")
+        for argv in (
+            ["validate"],
+            ["classify"],
+            ["scan", "--what", "residual", "--out", out],
+            ["scan", "--what", "crosscheck", "--out", out],
+            ["scan", "--what", "E", "--out", out],
+            ["geodesic", "--x0", "0.1,-0.2", "--y0", "1,0.5", "--T", "0.02", "--out", out],
+        ):
+            assert main([argv[0], path, *argv[1:]]) in (0, 1, 2, 3)

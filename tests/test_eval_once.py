@@ -11,7 +11,6 @@ bitwise-equal results with fewer evaluations.
 
 import dataclasses
 from types import SimpleNamespace
-from typing import Optional
 
 import numpy as np
 import pytest
@@ -28,6 +27,7 @@ from geodrev.reversibility import (
 from geodrev.scalarfield import EvalDomainError, ScalarField
 
 from conftest import (
+    doubled,
     make_class_a_bundle,
     make_class_b_bundle,
     make_even_bundle,
@@ -238,10 +238,10 @@ def _ref_zero_test(values, eps_zero):
     return ZeroTest(peak, thr, peak <= thr)
 
 
-def ref_classify(bundle, sampling: Optional[Sampling] = None):
+def ref_classify(bundle):
     """Evaluates point_data once directly and once inside the frame derivatives."""
     bundle.require_valid()
-    sampling = sampling or bundle.sampling
+    sampling = bundle.sampling
     eps0 = sampling.eps_zero
     report = bundle.validate()
     X1, X2, t = ref_grid(bundle, sampling)
@@ -352,9 +352,9 @@ class TestBitwiseAgainstReference:
         assert_same_bits(table, ref_table(bundle, "EF"))
 
     def test_classify_evidence(self, name, sampling):
-        bundle = WITNESSES[name]()
-        result = reversibility.classify(bundle, SAMPLINGS[sampling])
-        verdict, evidence, residual_max, cutoff, k2, _ = ref_classify(bundle, SAMPLINGS[sampling])
+        bundle = witness(name, sampling)
+        result = reversibility.classify(bundle)
+        verdict, evidence, residual_max, cutoff, k2, _ = ref_classify(bundle)
         assert result.verdict is verdict
         assert list(result.evidence) == list(evidence)
         for key, test in evidence.items():
@@ -375,9 +375,9 @@ class TestBitwiseAgainstReference:
             return original(values, eps_zero)
 
         monkeypatch.setattr(reversibility, "_zero_test", recording_zero_test)
-        bundle = WITNESSES[name]()
-        reversibility.classify(bundle, SAMPLINGS[sampling])
-        expected = ref_classify(bundle, SAMPLINGS[sampling])[-1]
+        bundle = witness(name, sampling)
+        reversibility.classify(bundle)
+        expected = ref_classify(bundle)[-1]
         assert len(seen) == len(expected)
         for got, want in zip(seen, expected.values()):
             want = np.asarray(want, dtype=float)
@@ -498,7 +498,7 @@ def test_classify_evaluates_point_data_once(validated, counts):
 
 
 def test_classify_doubled_evaluates_point_data_once(validated, counts):
-    reversibility.classify(validated, validated.sampling.doubled())
+    reversibility.classify(doubled(validated))
     assert counts.point_data == 1
 
 

@@ -22,6 +22,7 @@ from geodrev import (
     residual,
     structure_residuals,
 )
+from geodrev.frames import frame_fd_derivs
 from geodrev.metric import beta_on_indicatrix
 
 from conftest import random_points
@@ -38,21 +39,21 @@ def generic_bundle():
 class TestAlphaCoframe:
     def test_flat_at_zero_angle(self):
         metric = IsothermalMetric.from_text("0", Rectangle(-1, 1, -1, 1))
-        rows = alpha_coframe(metric, (0.0, 0.0), 0.0).rows
+        rows = alpha_coframe(metric, (0.0, 0.0), 0.0)
         np.testing.assert_allclose(rows[0], [0.0, 1.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(rows[1], [1.0, 0.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(rows[2], [0.0, 0.0, 1.0], atol=1e-15)
 
     def test_flat_at_quarter_turn(self):
         metric = IsothermalMetric.from_text("0", Rectangle(-1, 1, -1, 1))
-        rows = alpha_coframe(metric, (0.0, 0.0), math.pi / 2).rows
+        rows = alpha_coframe(metric, (0.0, 0.0), math.pi / 2)
         np.testing.assert_allclose(rows[0], [-1.0, 0.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(rows[1], [0.0, 1.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(rows[2], [0.0, 0.0, 1.0], atol=1e-15)
 
     def test_linear_nu(self):
         metric = IsothermalMetric.from_text("x1", Rectangle(-2, 2, -2, 2))
-        rows = alpha_coframe(metric, (1.0, 0.0), 0.0).rows
+        rows = alpha_coframe(metric, (1.0, 0.0), 0.0)
         e = math.e
         np.testing.assert_allclose(rows[0], [0.0, e, 0.0], rtol=1e-15)
         np.testing.assert_allclose(rows[1], [e, 0.0, 0.0], rtol=1e-15)
@@ -63,7 +64,7 @@ class TestAlphaCoframe:
         for _ in range(20):
             x = (rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9))
             t = rng.uniform(0, 2 * math.pi)
-            rows = alpha_coframe(metric, x, t).rows
+            rows = alpha_coframe(metric, x, t)
             nu = metric.nu.eval({"x1": x[0], "x2": x[1]})
             assert abs(np.linalg.det(rows)) == pytest.approx(math.exp(2 * nu), rel=1e-12)
 
@@ -73,7 +74,7 @@ def test_dual_frame_pairing_is_identity(generic_bundle, rng):
     for _ in range(100):
         x = (rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9))
         t = rng.uniform(0, 2 * math.pi)
-        forms = alpha_coframe(metric, x, t).rows
+        forms = alpha_coframe(metric, x, t)
         vectors = dual_frame(metric, x, t)
         pairing = forms @ vectors.T
         np.testing.assert_allclose(pairing, np.eye(3), atol=1e-12)
@@ -116,8 +117,8 @@ class TestDirectionalDerivs:
         bundle = witness_bundles[key]
         x1s, x2s, ts = random_points(bundle, rng, 5)
         for x1, x2, t in zip(x1s, x2s, ts):
-            closed = directional_derivs(bundle, (x1, x2), t, mode="closed_form")
-            fd = directional_derivs(bundle, (x1, x2), t, mode="frame_fd")
+            closed = directional_derivs(bundle, (x1, x2), t)
+            fd = frame_fd_derivs(bundle, (x1, x2), t)
             for name in ("p", "p1", "p2", "p3", "p31", "p32", "p33", "p332", "p333"):
                 c = float(getattr(closed, name))
                 f = float(getattr(fd, name))
@@ -127,15 +128,11 @@ class TestDirectionalDerivs:
         x1s, x2s, ts = random_points(generic_bundle, rng, 5)
         for x1, x2, t in zip(x1s, x2s, ts):
             closed = directional_derivs(generic_bundle, (x1, x2), t)
-            fd = directional_derivs(generic_bundle, (x1, x2), t, mode="frame_fd")
+            fd = frame_fd_derivs(generic_bundle, (x1, x2), t)
             for name in ("p", "p1", "p2", "p3", "p31", "p32", "p33", "p332", "p333"):
                 c = float(getattr(closed, name))
                 f = float(getattr(fd, name))
                 assert abs(c - f) <= 1e-6 * (1.0 + abs(c)), name
-
-    def test_unknown_mode_rejected(self, class_b_bundle):
-        with pytest.raises(ValueError):
-            directional_derivs(class_b_bundle, (0.0, 0.0), 0.0, mode="symbolic")
 
 
 class TestOmegaCoframe:
@@ -146,8 +143,8 @@ class TestOmegaCoframe:
         for _ in range(10):
             x = (rng.uniform(-1, 1), rng.uniform(-1, 1))
             t = rng.uniform(0, 2 * math.pi)
-            omega = omega_coframe(bundle, x, t).rows
-            alpha = alpha_coframe(metric, x, t).rows
+            omega = omega_coframe(bundle, x, t)
+            alpha = alpha_coframe(metric, x, t)
             np.testing.assert_allclose(omega, alpha, atol=1e-14)
 
     def test_flat_randers_rows(self, rng):
@@ -159,8 +156,8 @@ class TestOmegaCoframe:
             t = rng.uniform(0, 2 * math.pi)
             beta, beta_t, _ = beta_on_indicatrix(bundle, x, t)
             p = 1.0 + beta
-            alpha = alpha_coframe(metric, x, t).rows
-            omega = omega_coframe(bundle, x, t).rows
+            alpha = alpha_coframe(metric, x, t)
+            omega = omega_coframe(bundle, x, t)
             np.testing.assert_allclose(omega[0], math.sqrt(p) * alpha[0], rtol=1e-12)
             np.testing.assert_allclose(
                 omega[1], p * alpha[1] + beta_t * alpha[0], rtol=1e-12, atol=1e-15
@@ -173,8 +170,8 @@ class TestOmegaCoframe:
             x = (rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9))
             t = rng.uniform(0, 2 * math.pi)
             dd = directional_derivs(generic_bundle, x, t)
-            omega = omega_coframe(generic_bundle, x, t).rows
-            alpha = alpha_coframe(generic_bundle.metric, x, t).rows
+            omega = omega_coframe(generic_bundle, x, t)
+            alpha = alpha_coframe(generic_bundle.metric, x, t)
             assert np.all(np.isfinite(omega))
             root = math.sqrt(dd.p * (dd.p + dd.p33))
             np.testing.assert_allclose(omega[0], root * alpha[0], rtol=1e-12)

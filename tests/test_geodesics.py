@@ -189,7 +189,7 @@ class TestPathDistance:
     def _path(samples):
         samples = np.asarray(samples, dtype=float)
         vel = np.gradient(samples, axis=0)
-        return GeodesicPath(samples, vel, tuple(samples[0]), (1.0, 0.0), 0.1, 1.0, False)
+        return GeodesicPath(samples, vel, 0.1, 1.0, False)
 
     def test_identical_paths(self):
         a = self._path([[0, 0], [1, 0], [2, 0]])
@@ -306,9 +306,9 @@ class TestBatchedEngine:
         )
         singles = [integrate(irreversible_bundle, x0, y0, T, 1e-3) for x0, y0, T in starts]
         assert [path.truncated for path in singles] == [False, False, True, False, False]
-        for got, want in zip(batch, singles):
+        for (x0, y0, _), got, want in zip(starts, batch, singles):
             _same_path(got, want)
-            assert got.x0 == want.x0 and got.y0 == want.y0
+            assert tuple(got.samples[0]) == x0 and tuple(got.velocities[0]) == y0
 
     def test_spray_batch_rows_equal_scalar_spray(self, class_a_bundle, rng):
         states = np.column_stack(
@@ -430,8 +430,8 @@ class TestBlockedPolylineDistance:
 
     def test_memory_is_bounded(self):
         s = np.linspace(0.0, 1.0, 4001)
-        a = GeodesicPath(np.column_stack([s, s * s]), None, (0.0, 0.0), (1.0, 0.0), 1e-3, 4.0, False)
-        b = GeodesicPath(np.column_stack([s, s * s + 1e-3]), None, (0.0, 0.0), (1.0, 0.0), 1e-3, 4.0, False)
+        a = GeodesicPath(np.column_stack([s, s * s]), None, 1e-3, 4.0, False)
+        b = GeodesicPath(np.column_stack([s, s * s + 1e-3]), None, 1e-3, 4.0, False)
         tracemalloc.start()
         try:
             distance = path_distance(a, b)

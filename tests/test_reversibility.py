@@ -11,7 +11,6 @@ from geodrev import (
     MetricBundle,
     PhiFunction,
     Rectangle,
-    Sampling,
     Verdict,
     calE,
     calF,
@@ -27,7 +26,7 @@ from geodrev import (
 )
 from geodrev.reversibility import _ladder, _zero_test, point_data
 
-from conftest import CORPUS_PROFILES, EVEN_PLUS_LINEAR, make_irreversible_bundle
+from conftest import CORPUS_PROFILES, EVEN_PLUS_LINEAR, doubled
 
 
 def exact_matsumoto_E(s: Fraction) -> Fraction:
@@ -314,7 +313,7 @@ class TestClassify:
         bundles = list(witness_bundles.values()) + [even_bundle, _trivial_bundle()]
         for bundle in bundles:
             coarse = classify(bundle)
-            fine = classify(bundle, bundle.sampling.doubled())
+            fine = classify(doubled(bundle))
             assert coarse.verdict is fine.verdict
 
     def test_class_a_shape_agrees_with_decomposition(self, class_a_bundle):
@@ -334,12 +333,6 @@ class TestClassify:
         bundle = MetricBundle(metric, form, PhiFunction.matsumoto(0.4))
         with pytest.raises(Exception):
             classify(bundle)
-
-    def test_sampling_override_is_pure(self):
-        bundle = make_irreversible_bundle()
-        before = bundle.sampling
-        classify(bundle, Sampling(n_x1=9, n_x2=9, n_t=16, n_s=33))
-        assert bundle.sampling == before
 
     def test_trivially_projectively_flat(self):
         # harmonic nu = x1 with b = 0.2 e^{x1} (cos x2, -sin x2) solves the
