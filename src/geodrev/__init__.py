@@ -14,10 +14,7 @@ from .metric import (
     PhiFunction,
     Rectangle,
     Sampling,
-    beta_on_indicatrix,
     even_odd_decompose,
-    indicatrix_p,
-    reverse_phi,
     validate_finsler,
 )
 from .reversibility import (
@@ -26,25 +23,9 @@ from .reversibility import (
     calE,
     calF,
     classify,
-    curl21,
-    gauss_curvature,
-    integrability_obstruction,
-    m_coeffs,
-    m_direct,
-    pde_residuals,
     residual,
 )
-from .frames import (
-    ConvexityError,
-    alpha_coframe,
-    crosscheck,
-    directional_derivs,
-    dual_frame,
-    ecprinc_direct,
-    frame_intermediates,
-    omega_coframe,
-    structure_residuals,
-)
+from .frames import crosscheck
 from .geodesics import (
     GeodesicPath,
     SingularHessianError,

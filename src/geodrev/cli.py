@@ -147,11 +147,7 @@ def cmd_scan(args) -> int:
     bundle, _ = _load_bundle(args.config)
     bundle.require_valid()
     header, rows = _scan_rows(bundle, args.what)
-    try:
-        write_csv(args.out, header, rows)
-    except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    write_csv(args.out, header, rows)
     return EXIT_OK
 
 

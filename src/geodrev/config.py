@@ -81,7 +81,10 @@ def _strip_comment(text: str) -> str:
 
 
 def parse_raw(text: str) -> dict:
-    """Raw sections: {section: {key: (value, line)}}."""
+    """Raw sections: {section: {key: (value, line)}}.
+
+    A section or a key within a section given twice is an error.
+    """
     sections: dict[str, dict] = {}
     current = None
     for number, raw_line in enumerate(text.splitlines(), start=1):
@@ -94,7 +97,9 @@ def parse_raw(text: str) -> dict:
             name = line[1:-1].strip()
             if not name:
                 raise ConfigError("empty section name", number)
-            current = sections.setdefault(name, {})
+            if name in sections:
+                raise ConfigError(f"duplicate section [{name}]", number)
+            current = sections[name] = {}
             continue
         if "=" not in line:
             raise ConfigError("expected key = value", number)
@@ -104,6 +109,8 @@ def parse_raw(text: str) -> dict:
         key = key.strip()
         if not key:
             raise ConfigError("empty key", number)
+        if key in current:
+            raise ConfigError(f"duplicate key {key!r}, first given on line {current[key][1]}", number)
         current[key] = (_parse_value(raw_value, number), number)
     return sections
 

@@ -52,7 +52,7 @@ def zero_threshold(eps_zero: float, scale: float) -> float:
 
 
 class PhiFunction:
-    """Profile phi(s) with symbolic derivatives to order three and bound b0."""
+    """Profile phi(s) with symbolic first and second derivatives and bound b0."""
 
     def __init__(self, phi: ScalarField, b0: float):
         if b0 <= 0:
@@ -62,7 +62,6 @@ class PhiFunction:
         self.phi = phi
         self.d1 = phi.diff(PHI_VAR)
         self.d2 = self.d1.diff(PHI_VAR)
-        self.d3 = self.d2.diff(PHI_VAR)
         self.b0 = float(b0)
 
     @classmethod
@@ -77,17 +76,6 @@ class PhiFunction:
     def matsumoto(cls, b0: float = 0.4) -> "PhiFunction":
         return cls.from_text(PHI_TEXTS["matsumoto"], b0)
 
-    @classmethod
-    def even_polynomial(cls, coeffs, b0: float) -> "PhiFunction":
-        """Profile sum_k coeffs[k] * s^(2k); even by construction."""
-        parts = [f"{c!r} * s^{2 * k}" if k else repr(float(c)) for k, c in enumerate(coeffs)]
-        return cls.from_text(" + ".join(parts), b0)
-
-    @classmethod
-    def even_plus_linear(cls, even_text: str, eps: float, b0: float) -> "PhiFunction":
-        """Profile F0(s) + eps*s for an even F0 given as an expression in s."""
-        return cls.from_text(f"({even_text}) + {eps!r} * s", b0)
-
     def check_s(self, s) -> None:
         values = np.asarray(s, dtype=float)
         bad = np.abs(values) >= self.b0
@@ -97,12 +85,6 @@ class PhiFunction:
 
     def __repr__(self) -> str:
         return f"PhiFunction({self.phi!r}, b0={self.b0})"
-
-
-def reverse_phi(phi: PhiFunction) -> PhiFunction:
-    """Profile of the reverse norm F(x, -y): s -> phi(-s), same b0."""
-    flipped = substitute(phi.phi.expr, PHI_VAR, neg(Var(PHI_VAR)))
-    return PhiFunction(ScalarField(flipped, (PHI_VAR,)), phi.b0)
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +244,6 @@ class IsothermalMetric:
         self.nu = nu
         self.nu1 = nu.diff("x1")
         self.nu2 = nu.diff("x2")
-        self.nu11 = self.nu1.diff("x1")
-        self.nu22 = self.nu2.diff("x2")
         self.domain = domain
 
     @classmethod
@@ -383,33 +363,9 @@ class MetricBundle:
 
 
 # ---------------------------------------------------------------------------
-# Indicatrix-level quantities
+# The linear form on the indicatrix
 
 
 def _beta_pair(e_mnu, b1, b2, ct, st):
     """(beta, beta_t) at the fiber angle with cosine ct and sine st."""
     return e_mnu * (b1 * ct + b2 * st), e_mnu * (-b1 * st + b2 * ct)
-
-
-def beta_on_indicatrix(bundle: MetricBundle, x, t):
-    """Return (beta, beta_t, b^2) at base point x and fiber angle t.
-
-    Accepts scalars or numpy arrays for t (and for the components of x).
-    """
-    x1, x2 = x
-    env = {"x1": x1, "x2": x2}
-    e_m = np.exp(-bundle.metric.nu.eval(env))
-    b1 = bundle.form.b1.eval(env)
-    b2 = bundle.form.b2.eval(env)
-    beta, beta_t = _beta_pair(e_m, b1, b2, np.cos(t), np.sin(t))
-    bsq = e_m * e_m * (b1 * b1 + b2 * b2)
-    return beta, beta_t, bsq
-
-
-def indicatrix_p(bundle: MetricBundle, x, t):
-    """Return (p, r) = (phi(beta), phi(-beta)) at (x, t); r(x, t) = p(x, t + pi)."""
-    beta, _, _ = beta_on_indicatrix(bundle, x, t)
-    bundle.phi.check_s(beta)
-    p = bundle.phi.phi(s=beta)
-    r = bundle.phi.phi(s=-beta)
-    return p, r

@@ -10,12 +10,12 @@ profile phi,
 
 (E is odd in s, F is even), and two depend only on the base data,
 
-    curl21 = d(b2)/dx1 - d(b1)/dx2
+    curl = d(b2)/dx1 - d(b1)/dx2
     M(x, t) = K1 + K2*cos 2t + K3*sin 2t   (up to the conformal weight e^{-nu})
 
 with K1 = (d1b1 + d2b2)/2, K2 = (d1b1 - d2b2)/2 - (nu1*b1 - nu2*b2),
 K3 = (d1b2 + d2b1)/2 - (nu2*b1 + nu1*b2).  Geodesics reverse exactly when
-the combined residual  beta_t * E(beta) * M + F(beta, b) * e^{-nu} * curl21
+the combined residual  beta_t * E(beta) * M + F(beta, b) * e^{-nu} * curl
 vanishes identically on the unit circle bundle.
 """
 
@@ -191,34 +191,6 @@ def _p32(pd: PointData, fb: _Fiber, cd: _CoordData):
     return pd.e_mnu * (cd.dp_dx1dt * fb.ct + cd.dp_dx2dt * fb.st + cd.dp_dtt * fb.nu_minus)
 
 
-def curl21(form: LinearForm, x) -> float:
-    """d(b2)/dx1 - d(b1)/dx2 at the base point x."""
-    env = {"x1": x[0], "x2": x[1]}
-    return form.db2_d1.eval(env) - form.db1_d2.eval(env)
-
-
-@dataclass(frozen=True)
-class MCoefficients:
-    K1: float
-    K2: float
-    K3: float
-
-    def value(self, t):
-        return self.K1 + self.K2 * np.cos(2.0 * t) + self.K3 * np.sin(2.0 * t)
-
-
-def m_coeffs(form: LinearForm, metric: IsothermalMetric, x) -> MCoefficients:
-    """Angular Fourier coefficients K1, K2, K3 of the base obstruction."""
-    return _m_coeffs_from_point(point_data(form, metric, x[0], x[1]))
-
-
-def _m_coeffs_from_point(pd: PointData) -> MCoefficients:
-    k1 = 0.5 * (pd.db1_dx1 + pd.db2_dx2)
-    k2 = 0.5 * (pd.db1_dx1 - pd.db2_dx2) - (pd.nu1 * pd.b1 - pd.nu2 * pd.b2)
-    k3 = 0.5 * (pd.db2_dx1 + pd.db1_dx2) - (pd.nu2 * pd.b1 + pd.nu1 * pd.b2)
-    return MCoefficients(k1, k2, k3)
-
-
 def _m_direct_from_point(pd: PointData, fb: _Fiber):
     """Literal evaluation of the base obstruction M at fiber angle t.
 
@@ -234,11 +206,6 @@ def _m_direct_from_point(pd: PointData, fb: _Fiber):
     return block + fb.beta_t * fb.nu_minus - fb.beta * fb.nu_plus
 
 
-def m_direct(form: LinearForm, metric: IsothermalMetric, x, t):
-    pd = point_data(form, metric, x[0], x[1])
-    return _m_direct_from_point(pd, _fiber(pd, t))
-
-
 # ---------------------------------------------------------------------------
 # The reversibility residual
 
@@ -251,7 +218,7 @@ def _residual_from_point(pd: PointData, fb: _Fiber, ladder: _Ladder, m):
 
 
 def residual(bundle: MetricBundle, x, t):
-    """Signed reversibility defect beta_t*E*M + F*e^{-nu}*curl21 at (x, t).
+    """Signed reversibility defect beta_t*E*M + F*e^{-nu}*curl at (x, t).
 
     beta_t is used instead of the unsigned root sqrt(b^2 - beta^2); the two
     agree up to sign by the identity beta_t^2 = b^2 - beta^2, so zero-set
@@ -260,34 +227,6 @@ def residual(bundle: MetricBundle, x, t):
     pd = point_data(bundle.form, bundle.metric, x[0], x[1])
     fb = _fiber(pd, t)
     return _residual_from_point(pd, fb, _ladder(bundle.phi, fb.beta), _m_direct_from_point(pd, fb))
-
-
-# ---------------------------------------------------------------------------
-# Base PDE system and curvature
-
-
-def pde_residuals(form: LinearForm, metric: IsothermalMetric, x):
-    """Left-hand sides (curl, divergence, K2, K3) of the constancy system."""
-    pd = point_data(form, metric, x[0], x[1])
-    k = _m_coeffs_from_point(pd)
-    return (
-        pd.db2_dx1 - pd.db1_dx2,
-        pd.db1_dx1 + pd.db2_dx2,
-        k.K2,
-        k.K3,
-    )
-
-
-def integrability_obstruction(metric: IsothermalMetric, x):
-    """Laplacian of nu; the constancy system is solvable only where it vanishes."""
-    env = {"x1": x[0], "x2": x[1]}
-    return metric.nu11.eval(env) + metric.nu22.eval(env)
-
-
-def gauss_curvature(metric: IsothermalMetric, x):
-    """k = -e^{-2 nu} * (nu_11 + nu_22) in isothermal coordinates."""
-    lap = integrability_obstruction(metric, x)
-    return -np.exp(-2.0 * metric.nu.eval({"x1": x[0], "x2": x[1]})) * lap
 
 
 # ---------------------------------------------------------------------------

@@ -572,14 +572,3 @@ class ScalarField:
 
     def __repr__(self) -> str:
         return f"ScalarField({to_text(self._expr)!r}, vars={self._vars})"
-
-
-def fd_check(field: ScalarField, name: str, point: Mapping[str, float], h: float) -> float:
-    """Central difference (f(p+h) - f(p-h)) / 2h used as the derivative oracle."""
-    if h <= 0:
-        raise ExpressionError("step h must be positive")
-    hi = dict(point)
-    lo = dict(point)
-    hi[name] = point[name] + h
-    lo[name] = point[name] - h
-    return (field.eval(hi) - field.eval(lo)) / (2.0 * h)

@@ -22,7 +22,7 @@ from geodrev import config
 from geodrev.cli import main
 from geodrev.config import ConfigError, load_config, parse_config
 from geodrev.metric import PHI_TEXTS
-from geodrev.scalarfield import parse_expr
+from geodrev.scalarfield import ScalarField, parse_expr
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -191,6 +191,34 @@ class TestConfigParsing:
         load_config(write(tmp_path, CLASS_B_CONFIG)).build_bundle()
         assert len(calls) == 4  # nu, b1, b2 and phi
 
+    def test_bundle_builds_only_the_derivatives_it_reads(self, tmp_path, monkeypatch):
+        variables = []
+        original = ScalarField.diff
+
+        def counting_diff(self, name):
+            variables.append(name)
+            return original(self, name)
+
+        monkeypatch.setattr(ScalarField, "diff", counting_diff)
+        load_config(write(tmp_path, CLASS_B_CONFIG)).build_bundle()
+        # nu_1, nu_2, the four first partials of b1 and b2, phi' and phi''
+        assert sorted(variables) == ["s", "s", "x1", "x1", "x1", "x2", "x2", "x2"]
+
+    def test_duplicate_key_names_its_second_line(self):
+        b1_line = CLASS_B_CONFIG.splitlines().index('b1 = "0.2"') + 1
+        text = CLASS_B_CONFIG.replace('b1 = "0.2"', 'b1 = "0.2"\nb1 = "0.3"')
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert info.value.line == b1_line + 1
+        assert str(info.value) == f"line {b1_line + 1}: duplicate key 'b1', first given on line {b1_line}"
+
+    def test_duplicate_section_names_its_second_line(self):
+        text = CLASS_B_CONFIG + '\n[metric]\nnu = "x1"\n'
+        second = text.splitlines().index("[metric]", text.splitlines().index("[metric]") + 1) + 1
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value) == f"line {second}: duplicate section [metric]"
+
     def test_comments_and_quotes(self):
         cfg = parse_config(CLASS_A_CONFIG)
         assert cfg.nu == parse_expr("-ln(1 + (x1^2 + x2^2)/4)", ("x1", "x2"))
@@ -355,6 +383,24 @@ class TestScanCommand:
         cfg = write(tmp_path, SCAN_CONFIG)
         code = main(["scan", cfg, "--what", "E", "--out", "/nonexistent/dir/out.csv"])
         assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--out"],
+        ["scan", "--what", "E", "--out"],
+        ["geodesic", "--x0", "0,0", "--y0", "1,0", "--T", "0.01", "--out"],
+    ],
+    ids=["validate", "scan", "geodesic"],
+)
+def test_unwritable_output_is_one_io_error(tmp_path, capsys, argv):
+    path = "/nonexistent/x.csv"
+    code = main([argv[0], write(tmp_path, CLASS_B_CONFIG), *argv[1:], path])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("i/o error:")
+    assert path in err
 
 
 class TestGeodesicCommand:

@@ -4,28 +4,31 @@ import numpy as np
 import pytest
 
 from geodrev import (
-    ConvexityError,
     IsothermalMetric,
     LinearForm,
     MetricBundle,
     PhiFunction,
     Rectangle,
-    alpha_coframe,
     calE,
     calF,
     crosscheck,
-    directional_derivs,
-    dual_frame,
-    ecprinc_direct,
-    frame_intermediates,
-    omega_coframe,
     residual,
-    structure_residuals,
 )
-from geodrev.frames import frame_fd_derivs
-from geodrev.metric import beta_on_indicatrix
+from geodrev.reversibility import point_data
 
 from conftest import random_points
+from oracles import (
+    ConvexityError,
+    alpha_coframe,
+    beta_on_indicatrix,
+    dual_frame,
+    frame_fd_derivs,
+    omega_coframe,
+    ref_directional_derivs,
+    ref_ecprinc,
+    ref_frame_intermediates,
+    structure_residuals,
+)
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +101,7 @@ class TestDirectionalDerivs:
         for _ in range(10):
             x = (rng.uniform(-1, 1), rng.uniform(-1, 1))
             t = rng.uniform(0, 2 * math.pi)
-            dd = directional_derivs(class_b_bundle, x, t)
+            dd = ref_directional_derivs(class_b_bundle, x, t)
             beta, beta_t, _ = beta_on_indicatrix(class_b_bundle, x, t)
             assert dd.p1 == pytest.approx(0.0, abs=1e-15)
             assert dd.p2 == pytest.approx(0.0, abs=1e-15)
@@ -109,7 +112,7 @@ class TestDirectionalDerivs:
         for _ in range(10):
             x = (rng.uniform(-1.4, 1.4), rng.uniform(-1.4, 1.4))
             t = rng.uniform(0, 2 * math.pi)
-            dd = directional_derivs(class_a_bundle, x, t)
+            dd = ref_directional_derivs(class_a_bundle, x, t)
             assert dd.p + dd.p33 == pytest.approx(1.0, rel=1e-13)
 
     @pytest.mark.parametrize("key", ["class_a", "class_b", "irreversible"])
@@ -117,7 +120,7 @@ class TestDirectionalDerivs:
         bundle = witness_bundles[key]
         x1s, x2s, ts = random_points(bundle, rng, 5)
         for x1, x2, t in zip(x1s, x2s, ts):
-            closed = directional_derivs(bundle, (x1, x2), t)
+            closed = ref_directional_derivs(bundle, (x1, x2), t)
             fd = frame_fd_derivs(bundle, (x1, x2), t)
             for name in ("p", "p1", "p2", "p3", "p31", "p32", "p33", "p332", "p333"):
                 c = float(getattr(closed, name))
@@ -127,7 +130,7 @@ class TestDirectionalDerivs:
     def test_closed_form_matches_frame_differences_generic(self, generic_bundle, rng):
         x1s, x2s, ts = random_points(generic_bundle, rng, 5)
         for x1, x2, t in zip(x1s, x2s, ts):
-            closed = directional_derivs(generic_bundle, (x1, x2), t)
+            closed = ref_directional_derivs(generic_bundle, (x1, x2), t)
             fd = frame_fd_derivs(generic_bundle, (x1, x2), t)
             for name in ("p", "p1", "p2", "p3", "p31", "p32", "p33", "p332", "p333"):
                 c = float(getattr(closed, name))
@@ -169,7 +172,7 @@ class TestOmegaCoframe:
         for _ in range(10):
             x = (rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9))
             t = rng.uniform(0, 2 * math.pi)
-            dd = directional_derivs(generic_bundle, x, t)
+            dd = ref_directional_derivs(generic_bundle, x, t)
             omega = omega_coframe(generic_bundle, x, t)
             alpha = alpha_coframe(generic_bundle.metric, x, t)
             assert np.all(np.isfinite(omega))
@@ -198,7 +201,7 @@ class TestFrameIntermediates:
         phi = bundle.phi
         x1s, x2s, ts = random_points(bundle, rng, 100)
         for x1, x2, t in zip(x1s, x2s, ts):
-            fi = frame_intermediates(bundle, (x1, x2), t)
+            fi = ref_frame_intermediates(bundle, (x1, x2), t)
             beta, beta_t, bsq = beta_on_indicatrix(bundle, (x1, x2), t)
             b = math.sqrt(bsq)
             e_val = calE(phi, beta)
@@ -217,7 +220,7 @@ class TestFrameIntermediates:
         phi = generic_bundle.phi
         x1s, x2s, ts = random_points(generic_bundle, rng, 50)
         for x1, x2, t in zip(x1s, x2s, ts):
-            fi = frame_intermediates(generic_bundle, (x1, x2), t)
+            fi = ref_frame_intermediates(generic_bundle, (x1, x2), t)
             beta, beta_t, _ = beta_on_indicatrix(generic_bundle, (x1, x2), t)
             t1 = phi.d2(s=beta) * beta_t * fi.G + phi.d1(s=beta) * fi.H
             t2 = phi.d2(s=-beta) * beta_t * fi.G - phi.d1(s=-beta) * fi.H
@@ -233,19 +236,19 @@ class TestEcprincDirect:
         for _ in range(10):
             x = (rng.uniform(-1, 1), rng.uniform(-1, 1))
             t = rng.uniform(0, 2 * math.pi)
-            assert ecprinc_direct(bundle, x, t) == pytest.approx(0.0, abs=1e-15)
+            assert crosscheck(bundle, x, t).direct == pytest.approx(0.0, abs=1e-15)
 
     def test_closed_form_with_curved_factor_vanishes(self, class_a_bundle, rng):
         x1s, x2s, ts = random_points(class_a_bundle, rng, 100)
         for x1, x2, t in zip(x1s, x2s, ts):
-            assert abs(ecprinc_direct(class_a_bundle, (x1, x2), t)) <= 1e-8
+            assert abs(crosscheck(class_a_bundle, (x1, x2), t).direct) <= 1e-8
 
     def test_irreversible_matches_residual(self, irreversible_bundle, rng):
         # flat factor: the raw defect and the closed-form residual coincide
         x1s, x2s, ts = random_points(irreversible_bundle, rng, 20)
         nonzero = 0
         for x1, x2, t in zip(x1s, x2s, ts):
-            direct = ecprinc_direct(irreversible_bundle, (x1, x2), t)
+            direct = crosscheck(irreversible_bundle, (x1, x2), t).direct
             closed = residual(irreversible_bundle, (x1, x2), t)
             if abs(direct) > 1e-6:
                 nonzero += 1
@@ -257,14 +260,14 @@ class TestEcprincDirect:
         # that cancel (odd E against beta_t, even F against the pair swap)
         x1s, x2s, ts = random_points(generic_bundle, rng, 50)
         for x1, x2, t in zip(x1s, x2s, ts):
-            here = ecprinc_direct(generic_bundle, (x1, x2), t)
-            there = ecprinc_direct(generic_bundle, (x1, x2), t + math.pi)
+            here = crosscheck(generic_bundle, (x1, x2), t).direct
+            there = crosscheck(generic_bundle, (x1, x2), t + math.pi).direct
             assert abs(here - there) <= 1e-10 * (1.0 + abs(here))
 
     def test_swapping_roles_flips_sign(self, generic_bundle, rng):
         # exchanging the two profiles in the defect is a literal antisymmetry
         from geodrev.frames import _coord_at
-        from geodrev.reversibility import _fiber, point_data
+        from geodrev.reversibility import _fiber
 
         x1s, x2s, ts = random_points(generic_bundle, rng, 20)
         for x1, x2, t in zip(x1s, x2s, ts):
@@ -309,7 +312,7 @@ class TestCrosscheck:
             x = (x1s[:, None], x2s[:, None])
             t = ts[None, :]
             result = crosscheck(bundle, x, t)
-            direct = ecprinc_direct(bundle, x, t)
+            direct = ref_ecprinc(point_data(bundle.form, bundle.metric, *x), bundle.phi, t)
             closed = residual(bundle, x, t)
             weight = np.exp(-bundle.metric.nu.eval({"x1": x[0], "x2": x[1]}))
             mag = np.abs(np.asarray(direct, dtype=float))

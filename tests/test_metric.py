@@ -13,16 +13,14 @@ from geodrev import (
     MetricBundle,
     PhiFunction,
     Rectangle,
-    beta_on_indicatrix,
     even_odd_decompose,
-    indicatrix_p,
-    reverse_phi,
     validate_finsler,
 )
 
 from geodrev.metric import _triangular_grid
 
 from conftest import CORPUS_PROFILES
+from oracles import beta_on_indicatrix, indicatrix_p, reverse_phi
 
 
 class TestValidateFinsler:
@@ -91,13 +89,13 @@ def test_triangular_grid_matches_row_by_row_construction(b0, n):
 
 class TestBuiltinFamilies:
     def test_even_polynomial(self):
-        phi = PhiFunction.even_polynomial([1.0, 0.5, 0.25], 0.8)
+        phi = PhiFunction.from_text("1.0 + 0.5 * s^2 + 0.25 * s^4", 0.8)
         for s in (-0.5, 0.2, 0.7):
             assert phi.phi(s=s) == pytest.approx(1.0 + 0.5 * s**2 + 0.25 * s**4, rel=1e-15)
         assert validate_finsler(phi).passed
 
     def test_even_plus_linear(self):
-        phi = PhiFunction.even_plus_linear("exp(s^2)", -0.5, 0.6)
+        phi = PhiFunction.from_text("(exp(s^2)) + -0.5 * s", 0.6)
         for s in (-0.4, 0.0, 0.5):
             assert phi.phi(s=s) == pytest.approx(math.exp(s * s) - 0.5 * s, rel=1e-15)
         assert validate_finsler(phi).passed
