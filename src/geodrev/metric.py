@@ -19,18 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .scalarfield import (
-    EvalDomainError,
-    ScalarField,
-    Var,
-    _require_finite,
-    add,
-    sub,
-    mul,
-    neg,
-    const,
-    substitute,
-)
+from .scalarfield import EvalDomainError, ScalarField, _require_finite
 
 PHI_VAR = "s"
 BASE_VARS = ("x1", "x2")
@@ -190,8 +179,6 @@ def validate_finsler(phi: PhiFunction, grid_n: int = 201) -> ValidationReport:
 
 @dataclass(frozen=True)
 class EvenOddDecomposition:
-    even: ScalarField
-    odd: ScalarField
     is_class_A_shape: bool  # odd part is a constant multiple of s
     k2: Optional[float]     # twice that constant when the shape holds
 
@@ -199,20 +186,16 @@ class EvenOddDecomposition:
 def even_odd_decompose(
     phi: PhiFunction, n_samples: int = 201, eps_zero: float = 1e-9
 ) -> EvenOddDecomposition:
-    """Split phi into even and odd parts and test whether odd(s)/s is constant."""
-    s = Var(PHI_VAR)
-    flipped = substitute(phi.phi.expr, PHI_VAR, neg(s))
-    half = const(0.5)
-    even = ScalarField(mul(half, add(phi.phi.expr, flipped)), (PHI_VAR,))
-    odd = ScalarField(mul(half, sub(phi.phi.expr, flipped)), (PHI_VAR,))
+    """Test whether the odd part (phi(s) - phi(-s))/2 of phi is a constant multiple of s."""
     edge = phi.b0 * n_samples / (n_samples + 1.0)
     grid = np.linspace(0.05 * edge, edge, n_samples)
-    ratios = 2.0 * np.asarray(odd(s=grid), dtype=float) / grid
+    plus, minus = np.broadcast_to(phi.phi(s=np.stack([grid, -grid])), (2, n_samples))
+    ratios = (plus - minus) / grid  # twice the odd part over s
     spread = float(np.max(ratios) - np.min(ratios))
     scale = float(np.max(np.abs(ratios)))
     constant = spread <= zero_threshold(eps_zero, scale) < np.inf
     k2 = float(np.mean(ratios)) if constant else None
-    return EvenOddDecomposition(even, odd, constant, k2)
+    return EvenOddDecomposition(constant, k2)
 
 
 # ---------------------------------------------------------------------------

@@ -318,6 +318,11 @@ def classify(bundle: MetricBundle) -> Classification:
     residual_values = _residual_from_point(pd, fb, beta_ladder, m_values)
     cd = _coord_data(pd, fb, beta_ladder.pp, beta_ladder.d1p, beta_ladder.d2p)
     m2_values = _p32(pd, fb, cd) - _p1(pd, fb, cd)
+    # a product can overflow where its factors are finite; name it, not a verdict
+    _require_finite(
+        {"M": m_values, "residual": residual_values, "M2": m2_values}, {"x1": X1, "x2": X2, "t": t}
+    )
+    _require_finite({"E": e_values, "even gap": even_gap}, {"s": s_grid})
 
     evidence = {
         "M2": _zero_test(m2_values, eps0),

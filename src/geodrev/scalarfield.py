@@ -472,22 +472,6 @@ def diff_expr(e: Expr, name: str) -> Expr:
     raise ExpressionError(f"bad node {e!r}")
 
 
-def substitute(e: Expr, name: str, replacement: Expr) -> Expr:
-    """Replace every occurrence of the variable ``name`` by ``replacement``."""
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Var):
-        return replacement if e.name == name else e
-    if isinstance(e, Unary):
-        return _unary(e.op, substitute(e.arg, name, replacement))
-    if isinstance(e, Binary):
-        build = _BINARY[e.op].build
-        return build(substitute(e.left, name, replacement), substitute(e.right, name, replacement))
-    if isinstance(e, Power):
-        return power(substitute(e.base, name, replacement), e.exponent)
-    raise ExpressionError(f"bad node {e!r}")
-
-
 # ---------------------------------------------------------------------------
 # Pretty printing.  Output always reparses to an evaluation-equal AST.
 

@@ -17,10 +17,16 @@ import numpy as np
 from geodrev.metric import PHI_VAR, IsothermalMetric, LinearForm, MetricBundle, PhiFunction, _beta_pair
 from geodrev.reversibility import point_data
 from geodrev.scalarfield import (
+    _BINARY,
+    Binary,
+    Const,
     Expr,
     ExpressionError,
+    Power,
     ScalarField,
+    Unary,
     Var,
+    _unary,
     add,
     const,
     diff_expr,
@@ -28,8 +34,8 @@ from geodrev.scalarfield import (
     func,
     mul,
     neg,
+    power,
     sub,
-    substitute,
 )
 
 
@@ -46,6 +52,22 @@ def fd_check(field: ScalarField, name: str, point, h: float) -> float:
 
 # ---------------------------------------------------------------------------
 # Profile reversal and indicatrix quantities
+
+
+def substitute(e: Expr, name: str, replacement: Expr) -> Expr:
+    """Replace every occurrence of the variable ``name`` by ``replacement``."""
+    if isinstance(e, Const):
+        return e
+    if isinstance(e, Var):
+        return replacement if e.name == name else e
+    if isinstance(e, Unary):
+        return _unary(e.op, substitute(e.arg, name, replacement))
+    if isinstance(e, Binary):
+        build = _BINARY[e.op].build
+        return build(substitute(e.left, name, replacement), substitute(e.right, name, replacement))
+    if isinstance(e, Power):
+        return power(substitute(e.base, name, replacement), e.exponent)
+    raise ExpressionError(f"bad node {e!r}")
 
 
 def reverse_phi(phi: PhiFunction) -> PhiFunction:

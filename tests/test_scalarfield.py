@@ -23,7 +23,6 @@ from geodrev.scalarfield import (
     diff_expr,
     eval_expr,
     parse_expr,
-    substitute,
     to_text,
 )
 
@@ -34,7 +33,7 @@ from conftest import (
     make_even_bundle,
     make_irreversible_bundle,
 )
-from oracles import fd_check, reverse_phi
+from oracles import fd_check, reverse_phi, substitute
 
 
 class TestParser:
@@ -326,7 +325,7 @@ class TestOperationTable:
         }
         assert public == {
             "add", "const", "diff_expr", "div", "eval_expr", "func", "mul",
-            "neg", "parse_expr", "power", "sub", "substitute", "to_text",
+            "neg", "parse_expr", "power", "sub", "to_text",
         }
 
 
