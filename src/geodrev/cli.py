@@ -2,8 +2,9 @@
 
 Exit codes: 0 success; 1 usage, config or I/O error, including an
 expression evaluated outside its domain (EvalDomainError), a non-finite
-number, a start point outside the domain, a start vector of extreme length
-and a geodesic run too long for its trajectory buffer (PathTooLongError);
+number, an F^2 that underflows to 0 or is not finite along a geodesic, a
+start point outside the domain, a start vector of extreme length and a
+geodesic run too long for its trajectory buffer (PathTooLongError);
 2 validation failure, including a fiber Hessian of F^2 that is not
 positive definite along a geodesic (SingularHessianError) and
 classification evidence that contradicts itself
@@ -45,21 +46,52 @@ EXIT_TRUNCATED = 3
 CSV_BLOCK_ROWS = 4096
 
 
+def _block_text(block: np.ndarray) -> str:
+    """The lines of a (rows, columns) block, every value as %.17g.
+
+    A column that repeats a value, as a scan's grid coordinates do, formats
+    each distinct value once and its lines take the strings by %s.  Values
+    are keyed by their 64-bit pattern, so 0.0 and -0.0, and nans of
+    different sign or payload, keep their own text.  A column without
+    repeats, as a geodesic's are, is formatted in the line itself.
+    """
+    n, width = block.shape
+    texts = []  # per column: its strings in row order, or None if no value repeats
+    for c in range(width):
+        keys = block[:, c].view(np.int64)
+        ranked = np.sort(keys)
+        first = np.concatenate(([True], ranked[1:] != ranked[:-1]))
+        if first.all():
+            texts.append(None)
+            continue
+        distinct = ranked[first]
+        text = ("\n".join(["%.17g"] * len(distinct)) % tuple(distinct.view(float).tolist())).split("\n")
+        texts.append(np.array(text, dtype=object)[np.searchsorted(distinct, keys)])
+    line = ",".join("%.17g" if text is None else "%s" for text in texts) + "\n"
+    if all(text is None for text in texts):
+        # Python floats made in row order, which the formatting pass reads
+        # faster than floats made column by column.
+        return line * n % tuple(block.ravel().tolist())
+    args = np.empty((n, width), dtype=object)
+    for c, text in enumerate(texts):
+        args[:, c] = block[:, c] if text is None else text
+    return line * n % tuple(args.ravel().tolist())
+
+
 def write_csv(path: str, header: list[str], rows: np.ndarray) -> None:
     """Write a header line, then one line per row, every value as %.17g.
 
-    ``rows`` is a (rows, len(header)) array.
+    ``rows`` is a (rows, len(header)) array, written CSV_BLOCK_ROWS rows at
+    a time.
     """
     width = len(header)
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != width:
         raise ValueError(f"rows of {width} values expected, got an array of shape {rows.shape}")
-    line = ",".join(["%.17g"] * width) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
         for i in range(0, len(rows), CSV_BLOCK_ROWS):
-            block = rows[i : i + CSV_BLOCK_ROWS]
-            handle.write(line * len(block) % tuple(block.ravel().tolist()))
+            handle.write(_block_text(rows[i : i + CSV_BLOCK_ROWS]))
 
 
 def _load_bundle(path: str) -> tuple[MetricBundle, "ExperimentConfig"]:

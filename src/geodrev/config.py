@@ -228,6 +228,9 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("domain rectangle must have positive extent")
     if phi["kind"] == "expr" and not phi["expr"]:
         raise ConfigError("phi kind 'expr' requires an 'expr' key")
+    if phi["kind"] != "expr" and "expr" in sections["phi"]:
+        message = f'phi expr is read only when kind is "expr", got kind {phi["kind"]!r}'
+        raise ConfigError(message, sections["phi"]["expr"][1])
 
     def expression(section: str, key: str, variables, what: str) -> Expr:
         try:

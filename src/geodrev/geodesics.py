@@ -136,6 +136,12 @@ def _rates(bundle: MetricBundle, states: np.ndarray) -> np.ndarray:
         h12 = (L[5] - L[6] - L[7] + L[8]) / (4.0 * hy_sq)
         det = h11 * h22 - h12 * h12
         if h11 <= 0.0 or det <= 0.0:
+            # A 0 or non-finite F^2 is an underflow or overflow, not a
+            # Hessian of a structure that fails to be Finsler.
+            if 0.0 in L or not all(map(math.isfinite, L)):
+                raise EvalDomainError(
+                    f"F^2 underflows to 0 or is not finite near x=({x1}, {x2}), y=({y1}, {y2})"
+                )
             raise _singular_hessian(x1, x2, y1, y2)
         lx1 = (L[9] - L[10]) / (2.0 * hx)
         lx2 = (L[11] - L[12]) / (2.0 * hx)

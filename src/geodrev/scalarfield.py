@@ -428,14 +428,18 @@ def eval_expr(e: Expr, env: Mapping[str, Value]) -> Value:
         row = _BINARY[e.op]
         a = eval_expr(e.left, env)
         b = eval_expr(e.right, env)
-        if row.outside is not None and np.any(bad := row.outside(np.asarray(b))):
-            raise _domain_error(row.message, bad, env)
+        if row.outside is not None:
+            if isinstance(e.right, Const):  # b is a Python float: one test, no array
+                if row.outside(b):
+                    raise _domain_error(row.message, np.asarray(True), env)
+            elif (bad := row.outside(np.asarray(b))).any():
+                raise _domain_error(row.message, bad, env)
         return row.evaluate(a, b)
     if isinstance(e, Power):
         a = eval_expr(e.base, env)
         k = e.exponent
-        if k < 0 and np.any(np.asarray(a) == 0.0):
-            raise _domain_error("zero raised to a negative power", np.asarray(a) == 0.0, env)
+        if k < 0 and (zero := np.asarray(a) == 0.0).any():
+            raise _domain_error("zero raised to a negative power", zero, env)
         try:
             with np.errstate(over="raise"):
                 return np.power(a, k) if k >= 0 else 1.0 / np.power(a, -k)
@@ -447,7 +451,7 @@ def eval_expr(e: Expr, env: Mapping[str, Value]) -> Value:
     if isinstance(e, Unary):
         row = _UNARY[e.op]
         a = eval_expr(e.arg, env)
-        if row.outside is not None and np.any(bad := row.outside(np.asarray(a))):
+        if row.outside is not None and (bad := row.outside(np.asarray(a))).any():
             raise _domain_error(row.message, bad, env)
         return row.evaluate(a)
     raise ExpressionError(f"bad node {e!r}")

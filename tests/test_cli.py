@@ -270,6 +270,15 @@ class TestConfigParsing:
         assert main(["classify", write(tmp_path, "\n".join(lines))]) == 1
         assert capsys.readouterr().err == f"config error: line {number}: {message}\n"
 
+    @pytest.mark.parametrize("kind", ["randers", "matsumoto"])
+    def test_expr_with_a_named_kind_names_its_line(self, tmp_path, capsys, kind):
+        text = CLASS_A_CONFIG.replace('kind = "randers"', f'kind = "{kind}"\nexpr = "1 + s^2"')
+        number = text.splitlines().index('expr = "1 + s^2"') + 1
+        assert main(["classify", write(tmp_path, text)]) == 1
+        assert capsys.readouterr().err == (
+            f'config error: line {number}: phi expr is read only when kind is "expr", got kind {kind!r}\n'
+        )
+
     @pytest.mark.parametrize(
         "extra, bad, message",
         [
@@ -602,6 +611,17 @@ class TestGeodesicRecipe:
         assert (tmp_path / "path_rev.csv").read_bytes() == backward
 
 
+# A Finsler structure whose alpha = e^nu |y| is subnormal for |y| <= 1, with
+# b = e^-nu |b1| of order 1 and b < b0 everywhere.
+SUBNORMAL_ALPHA_CONFIG = (
+    CLASS_B_CONFIG.replace('nu = "0"', 'nu = "-709"')
+    .replace('b1 = "0.2"', 'b1 = "1e-308*sin(1.7e308*x2)"')
+    .replace('b2 = "0.1"', 'b2 = "0"')
+    .replace('kind = "matsumoto"', 'kind = "randers"')
+    .replace("b0 = 0.4", "b0 = 0.9")
+)
+
+
 class TestErrorExitCodes:
     @pytest.mark.parametrize("command", ["validate", "classify"])
     def test_domain_error_is_config_error(self, tmp_path, capsys, command):
@@ -620,6 +640,17 @@ class TestErrorExitCodes:
         assert code == 2
         assert "fiber Hessian of F^2 not positive definite at x=(" in err
 
+    def test_underflowing_energy_is_config_error(self, tmp_path, capsys):
+        # F^2 underflows to 0, so its finite-difference Hessian vanishes
+        path = write(tmp_path, SUBNORMAL_ALPHA_CONFIG)
+        assert main(["validate", path]) == 0
+        capsys.readouterr()
+        assert main(["geodesic", path, "--x0", "0,0", "--y0", "0.5,0", "--out", str(tmp_path / "p.csv")]) == 1
+        assert capsys.readouterr().err == (
+            "config error: F^2 underflows to 0 or is not finite near x=(0.0, 0.0), y=(0.5, 0.0)\n"
+        )
+        assert not (tmp_path / "p.csv").exists()
+
     def test_non_finite_geodesic_flow_is_config_error(self, tmp_path, capsys):
         # nu overflows near x1 = 0.01, between the points of the validation grid
         path = write(tmp_path, CLASS_B_CONFIG.replace('nu = "0"', 'nu = "exp(800 - 1e8*(x1 - 0.01)^2)"'))
@@ -632,14 +663,7 @@ class TestErrorExitCodes:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_evidence_is_config_error(self, tmp_path, capsys):
         # every field and b < b0 are finite, but F * e^-nu * curl overflows
-        cfg = (
-            CLASS_B_CONFIG.replace('nu = "0"', 'nu = "-709"')
-            .replace('b1 = "0.2"', 'b1 = "1e-308*sin(1.7e308*x2)"')
-            .replace('b2 = "0.1"', 'b2 = "0"')
-            .replace('kind = "matsumoto"', 'kind = "randers"')
-            .replace("b0 = 0.4", "b0 = 0.9")
-        )
-        path = write(tmp_path, cfg)
+        path = write(tmp_path, SUBNORMAL_ALPHA_CONFIG)
         assert main(["validate", path]) == 0
         capsys.readouterr()
         assert main(["classify", path]) == 1

@@ -1,6 +1,8 @@
 """The vectorized scan table and the block CSV writer against their
 per-point and per-value reference implementations."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,10 @@ class TestScanTable:
         assert str(got.value).endswith("at x1=-1.0, x2=-0.5")
 
 
+def nan_with(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
 SPECIAL_VALUES = [-0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e300, 0.1, -1.0 / 3.0]
 
 
@@ -155,3 +161,33 @@ class TestWriteCsv:
     def test_width_mismatch_is_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             cli.write_csv(str(tmp_path / "bad.csv"), ["a", "b"], np.zeros((4, 3)))
+
+    def test_signed_zeros_and_nans_in_one_repeating_column(self, tmp_path):
+        # one block, a column with repeats: each 64-bit pattern is its own value
+        nans = [float("nan"), -float("nan"), nan_with(0x7FF8000000000123), nan_with(0xFFF8000000000123)]
+        column = [0.0, -0.0, *nans, 0.0, -0.0, 1.5] * 7
+        table = np.column_stack((np.arange(len(column), dtype=float), column, np.negative(column)))
+        assert len(np.unique(table[:, 1].view(np.int64))) == 7
+        want = self.check(tmp_path, ["step", "a", "b"], table.tolist(), table)
+        assert want.splitlines()[1:4] == [b"0,0,-0", b"1,-0,0", b"2,nan,nan"]
+
+    def test_value_recurring_in_two_blocks(self, tmp_path):
+        n = cli.CSV_BLOCK_ROWS + 100
+        grid = np.linspace(-1.0, 1.0, 21)
+        table = np.column_stack((grid[np.arange(n) % 21], grid[np.arange(n) // 21 % 21], np.arange(n) * 0.1))
+        want = self.check(tmp_path, ["x1", "x2", "t"], table.tolist(), table)
+        assert want.count(b"\n") == n + 1
+
+    def test_all_distinct_geodesic_table(self, tmp_path):
+        n = 1001
+        path = np.cumsum(np.random.default_rng(11).normal(size=(n, 2)) * 1e-3, axis=0)
+        table = np.column_stack((np.arange(n, dtype=float), path))
+        assert all(len(np.unique(table[:, c])) == n for c in range(3))
+        self.check(tmp_path, ["step", "x1", "x2"], table.tolist(), table)
+
+    @pytest.mark.parametrize("what", ["residual", "crosscheck"])
+    @pytest.mark.parametrize("name", sorted(WITNESSES))
+    def test_witness_scans(self, tmp_path, name, what):
+        header, table = cli._scan_rows(WITNESSES[name](), what)
+        assert len(table) > cli.CSV_BLOCK_ROWS
+        self.check(tmp_path, header, table.tolist(), table)
