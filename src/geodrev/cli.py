@@ -3,8 +3,10 @@
 Exit codes: 0 success; 1 usage, config or I/O error, including an
 expression evaluated outside its domain (EvalDomainError), a non-finite
 number, an F^2 that underflows to 0 or is not finite along a geodesic, a
-start point outside the domain, a start vector of extreme length and a
-geodesic run too long for its trajectory buffer (PathTooLongError);
+start point outside the domain, a start vector of extreme length, an
+expression nested deeper than scalarfield.MAX_DEPTH, a sampling grid that
+cannot be allocated (MemoryError) and a geodesic run too long for its
+trajectory buffer (PathTooLongError);
 2 validation failure, including a fiber Hessian of F^2 that is not
 positive definite along a geodesic (SingularHessianError) and
 classification evidence that contradicts itself
@@ -14,13 +16,14 @@ classification evidence that contradicts itself
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
 
 import numpy as np
 
-from .config import ConfigError, load_config
+from .config import ConfigError, ExperimentConfig, load_config
 from .frames import crosscheck
 from .geodesics import (
     SPEED_DECADES,
@@ -30,7 +33,6 @@ from .geodesics import (
     integrate,
     path_distance,
     path_prefix,
-    relaunch,
 )
 from .metric import FinslerValidationError, MetricBundle, _ec1_margin, _triangular_grid, sample_grid
 from .reversibility import InconsistentEvidenceError, _ladder, classify, residual
@@ -94,13 +96,7 @@ def write_csv(path: str, header: list[str], rows: np.ndarray) -> None:
             handle.write(_block_text(rows[i : i + CSV_BLOCK_ROWS]))
 
 
-def _load_bundle(path: str) -> tuple[MetricBundle, "ExperimentConfig"]:
-    cfg = load_config(path)
-    return cfg.build_bundle(), cfg
-
-
-def cmd_validate(args) -> int:
-    bundle, _ = _load_bundle(args.config)
+def cmd_validate(args, bundle: MetricBundle, cfg: ExperimentConfig) -> int:
     report = bundle.validate()
     print(report.as_text())
     if args.out:
@@ -125,8 +121,7 @@ def _write_validation_csv(path: str, bundle: MetricBundle) -> None:
     write_csv(path, ["s", "b", "ec1_margin"], np.column_stack((s.ravel(), b.ravel(), margin.ravel())))
 
 
-def cmd_classify(args) -> int:
-    bundle, _ = _load_bundle(args.config)
+def cmd_classify(args, bundle: MetricBundle, cfg: ExperimentConfig) -> int:
     result = classify(bundle)
     print(result.as_text())
     return EXIT_OK
@@ -151,14 +146,12 @@ def _scan_rows(bundle: MetricBundle, what: str) -> tuple[list[str], np.ndarray]:
 
         def evaluate(x1, x2, t):
             return [residual(bundle, (x1, x2), t)]
-    elif what == "crosscheck":
+    else:  # crosscheck, the last of the parser's choices
         header = ["x1", "x2", "t", "direct", "closed_form", "gap"]
 
         def evaluate(x1, x2, t):
             result = crosscheck(bundle, (x1, x2), t)
             return [result.direct, result.closed_form, result.relative_gap]
-    else:
-        raise ConfigError(f"unknown scan kind {what!r}")
 
     X1, X2, t = sample_grid(bundle.metric.domain, sampling)
     try:
@@ -175,8 +168,7 @@ def _scan_rows(bundle: MetricBundle, what: str) -> tuple[list[str], np.ndarray]:
     return header, np.column_stack(columns)
 
 
-def cmd_scan(args) -> int:
-    bundle, _ = _load_bundle(args.config)
+def cmd_scan(args, bundle: MetricBundle, cfg: ExperimentConfig) -> int:
     bundle.require_valid()
     header, rows = _scan_rows(bundle, args.what)
     write_csv(args.out, header, rows)
@@ -201,8 +193,7 @@ def _rev_path_name(path: str) -> str:
     return f"{stem}_rev.{ext}" if dot else f"{path}_rev"
 
 
-def cmd_geodesic(args) -> int:
-    bundle, cfg = _load_bundle(args.config)
+def cmd_geodesic(args, bundle: MetricBundle, cfg: ExperimentConfig) -> int:
     bundle.require_valid()
     x0 = _parse_pair(args.x0, "--x0")
     d = bundle.metric.domain
@@ -232,7 +223,9 @@ def cmd_geodesic(args) -> int:
     # path's covered duration.
     t_back = backward_duration(bundle, forward)
     t_rev = max(forward.duration, h)
-    relaunched = relaunch(bundle, forward, max(t_back, t_rev))
+    relaunched = integrate(
+        bundle, forward.samples[-1], -forward.velocities[-1], max(t_back, t_rev), h
+    )
     error = path_distance(forward, path_prefix(relaunched, t_back))
     backward = path_prefix(relaunched, t_rev)
 
@@ -274,6 +267,7 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+@functools.cache  # one parser per process, built by the first main call
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="geodrev",
@@ -285,17 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate = sub.add_parser("validate", help="check the positivity conditions")
     p_validate.add_argument("config")
     p_validate.add_argument("--out", default=None, help="optional CSV of the convexity margin")
-    p_validate.set_defaults(fn=cmd_validate)
 
     p_classify = sub.add_parser("classify", help="run the reversibility classification")
     p_classify.add_argument("config")
-    p_classify.set_defaults(fn=cmd_classify)
 
     p_scan = sub.add_parser("scan", help="dump criterion quantities as CSV")
     p_scan.add_argument("config")
     p_scan.add_argument("--what", required=True, choices=("E", "F", "residual", "crosscheck"))
     p_scan.add_argument("--out", required=True)
-    p_scan.set_defaults(fn=cmd_scan)
 
     p_geo = sub.add_parser("geodesic", help="integrate a geodesic and its reverse")
     p_geo.add_argument("config")
@@ -304,19 +295,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_geo.add_argument("--T", type=float, default=None)
     p_geo.add_argument("--h", type=float, default=None)
     p_geo.add_argument("--out", required=True)
-    p_geo.set_defaults(fn=cmd_geodesic)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_attach_negative_values(argv))
     try:
         # Every non-finite sample raises EvalDomainError, so numpy's own
         # warnings would only repeat that message on stderr.
         with np.errstate(all="ignore"):
-            return args.fn(args)
-    except (ConfigError, EvalDomainError, PathTooLongError) as exc:
+            cfg = load_config(args.config)
+            bundle = cfg.build_bundle()
+            # Looked up when it runs, so that a rebound cmd_* name is the one called.
+            return globals()[f"cmd_{args.command}"](args, bundle, cfg)
+    except (ConfigError, EvalDomainError, PathTooLongError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (FinslerValidationError, SingularHessianError, InconsistentEvidenceError) as exc:

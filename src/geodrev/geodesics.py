@@ -65,12 +65,6 @@ def finsler_norm(bundle: MetricBundle, x, y) -> float:
     return float(_norm_batch(bundle, float(x[0]), float(x[1]), float(y[0]), float(y[1])))
 
 
-def _energy_batch(bundle: MetricBundle, pts: np.ndarray) -> np.ndarray:
-    """F^2 on rows (x1, x2, y1, y2)."""
-    values = _norm_batch(bundle, pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3])
-    return values * values
-
-
 # ---------------------------------------------------------------------------
 # Spray coefficients by nested central differences of F^2
 
@@ -95,16 +89,10 @@ for _k in (0, 1):
 del _row, _k, _i, _sx, _sy
 
 
-def _singular_hessian(x1: float, x2: float, y1: float, y2: float) -> SingularHessianError:
-    return SingularHessianError(
-        f"fiber Hessian of F^2 not positive definite at x=({x1}, {x2}), y=({y1}, {y2})"
-    )
-
-
 def _rates(bundle: MetricBundle, states: np.ndarray) -> np.ndarray:
     """Geodesic flow (y1, y2, -2 G1, -2 G2) at each row (x1, x2, y1, y2) of ``states``.
 
-    One ``_energy_batch`` call evaluates the stencils of all rows.  The
+    One ``_norm_batch`` call evaluates F on the stencils of all rows.  The
     Hessian and the 2x2 solve then run row by row on Python floats: for one
     path or a fan of a few directions, that is cheaper than the same solve
     spelled as dozens of small-array operations.  Rows never mix, so a row's
@@ -125,7 +113,8 @@ def _rates(bundle: MetricBundle, states: np.ndarray) -> np.ndarray:
 
     steps = np.array([(hx, hx, hy, hy) for hy in hys])
     pts = (states[:, None, :] + _STENCIL * steps[:, None, :]).reshape(-1, 4)
-    energies = _energy_batch(bundle, pts).reshape(len(states), len(_STENCIL))
+    norms = _norm_batch(bundle, pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3])
+    energies = (norms * norms).reshape(len(states), len(_STENCIL))
 
     rates = []
     for (x1, x2, y1, y2), hy, L in zip(states.tolist(), hys, energies.tolist()):
@@ -142,7 +131,9 @@ def _rates(bundle: MetricBundle, states: np.ndarray) -> np.ndarray:
                 raise EvalDomainError(
                     f"F^2 underflows to 0 or is not finite near x=({x1}, {x2}), y=({y1}, {y2})"
                 )
-            raise _singular_hessian(x1, x2, y1, y2)
+            raise SingularHessianError(
+                f"fiber Hessian of F^2 not positive definite at x=({x1}, {x2}), y=({y1}, {y2})"
+            )
         lx1 = (L[9] - L[10]) / (2.0 * hx)
         lx2 = (L[11] - L[12]) / (2.0 * hx)
         scale = 4.0 * hx * hy
@@ -373,11 +364,6 @@ def backward_duration(bundle: MetricBundle, forward: GeodesicPath) -> float:
     back_speed = finsler_norm(bundle, forward.samples[-1], -forward.velocities[-1])
     t_back = _reverse_arc_length(bundle, forward) / back_speed
     return max(t_back, forward.h)
-
-
-def relaunch(bundle: MetricBundle, forward: GeodesicPath, T: float) -> GeodesicPath:
-    """Geodesic from the end of a forward path with its end velocity reversed."""
-    return integrate(bundle, forward.samples[-1], -forward.velocities[-1], T, forward.h)
 
 
 def _probe(bundle: MetricBundle, x0, y0s, T: float, h: float) -> list[float]:

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .scalarfield import EvalDomainError, ScalarField, _require_finite
+from .scalarfield import EvalDomainError, ScalarField, _domain_error, _require_finite
 
 PHI_VAR = "s"
 BASE_VARS = ("x1", "x2")
@@ -68,9 +68,8 @@ class PhiFunction:
     def check_s(self, s) -> None:
         values = np.asarray(s, dtype=float)
         bad = np.abs(values) >= self.b0
-        if np.any(bad):
-            witness = float(values.flat[int(np.argmax(bad))])
-            raise EvalDomainError(f"|s| >= b0 = {self.b0} at s={witness!r}")
+        if bad.any():
+            raise _domain_error(f"|s| >= b0 = {self.b0}", bad, {"s": values})
 
     def __repr__(self) -> str:
         return f"PhiFunction({self.phi!r}, b0={self.b0})"

@@ -15,6 +15,7 @@ node is kept, so that evaluation reports the error.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -244,6 +245,12 @@ _BINARY = _OpTable({
 #   power  := atom ('^' exponent)*          exponent: [-]digits or ([-]digits)
 #   atom   := number | name '(' expr ')' | name | '(' expr ')'
 
+# Deepest parenthesis nesting and tree that an expression may have.  The
+# parser recurses about six times per parenthesis, eval and diff once per
+# tree level, and phi'' is about twice as deep as phi: at this bound all of
+# it stays well inside Python's default recursion limit.
+MAX_DEPTH = 100
+
 
 class _Parser:
     def __init__(self, text: str, allowed_vars: tuple[str, ...]):
@@ -266,19 +273,19 @@ class _Parser:
             raise ParseError(f"unexpected {self.text[self.pos]!r}", self.pos)
         return e
 
-    def chain(self, ops: str, operand: Callable[[], Expr]) -> Expr:
-        """operand (op operand)* for the binary operations in ``ops``, left-associative."""
-        e = operand()
-        while (op := self.peek()) and op in ops:
+    def expr(self) -> Expr:
+        e = self.term()
+        while (op := self.peek()) and op in "+-":
             self.pos += 1
-            e = _BINARY[op].build(e, operand())
+            e = _BINARY[op].build(e, self.term())
         return e
 
-    def expr(self) -> Expr:
-        return self.chain("+-", self.term)
-
     def term(self) -> Expr:
-        return self.chain("*/", self.unary)
+        e = self.unary()
+        while (op := self.peek()) and op in "*/":
+            self.pos += 1
+            e = _BINARY[op].build(e, self.unary())
+        return e
 
     def closing(self, e: Expr) -> Expr:
         if self.peek() != ")":
@@ -287,10 +294,12 @@ class _Parser:
         return e
 
     def unary(self) -> Expr:
-        if self.peek() == "-":
+        signs = 0
+        while self.peek() == "-":
             self.pos += 1
-            return neg(self.unary())
-        return self.power()
+            signs += 1
+        e = self.power()
+        return neg(e) if signs % 2 else e  # neg is self-inverse
 
     def power(self) -> Expr:
         e = self.atom()
@@ -381,7 +390,17 @@ def parse_expr(text: str, allowed_vars) -> Expr:
     """Parse ``text`` into an AST; identifiers must come from ``allowed_vars``."""
     if not text or not text.strip():
         raise ParseError("empty expression", 0)
-    return _Parser(text, tuple(allowed_vars)).parse()
+    nesting = list(itertools.accumulate((ch == "(") - (ch == ")") for ch in text))
+    if max(nesting) > MAX_DEPTH:
+        raise ParseError(f"parentheses nested deeper than {MAX_DEPTH}", nesting.index(MAX_DEPTH + 1))
+    e = _Parser(text, tuple(allowed_vars)).parse()
+    height, level = 0, [e]
+    while level:
+        height += 1
+        level = [c for node in level for c in vars(node).values() if isinstance(c, Expr)]
+    if height > MAX_DEPTH:
+        raise ParseError(f"expression tree deeper than {MAX_DEPTH} levels", 0)
+    return e
 
 
 # ---------------------------------------------------------------------------

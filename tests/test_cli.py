@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import os
 import re
@@ -19,11 +21,11 @@ from geodrev import (
     integrate,
     reversibility_error,
 )
-from geodrev import config
+from geodrev import cli, config
 from geodrev.cli import main
-from geodrev.config import ConfigError, load_config, parse_config
+from geodrev.config import ConfigError, ExperimentConfig, load_config, parse_config
 from geodrev.metric import PHI_TEXTS
-from geodrev.scalarfield import ScalarField, parse_expr
+from geodrev.scalarfield import MAX_DEPTH, ScalarField, parse_expr
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -746,6 +748,122 @@ class TestErrorExitCodes:
         assert "Traceback" not in proc.stderr
 
 
+# The Irreversible witness with phi given as an expression.
+IRREVERSIBLE_EXPR_CONFIG = IRREVERSIBLE_CONFIG.replace(
+    'kind = "matsumoto"', 'kind = "expr"\nexpr = "1/(1-s)"'
+) + "\n[sampling]\nn_x1 = 8\nn_x2 = 8\nn_t = 8\nn_s = 16\n"
+
+
+def _nested(name, inner, n):
+    return f"{name}(" * n + inner + ")" * n
+
+
+# (key, expression nesting or tree depth n) per family: parentheses nested n
+# deep, a left-deep sum and a chain of sin calls, each a tree n levels deep.
+DEPTH_FAMILIES = {
+    "parentheses": ("expr", lambda n: _nested("", "1/(1-s)", n - 1)),
+    "sum": ("expr", lambda n: " + ".join(["1"] + ["0.001*s"] * (n - 2))),
+    "sin": ("b1", lambda n: "0.2 + 0.1*" + _nested("sin", "x1", n - 3)),
+}
+
+
+NESTED = f"parentheses nested deeper than {MAX_DEPTH}"
+DEEP = f"expression tree deeper than {MAX_DEPTH} levels (offset 0)"
+
+
+def _depth_config(key, text):
+    old = 'expr = "1/(1-s)"' if key == "expr" else 'b1 = "0.2 + 0.1*x1"'
+    return IRREVERSIBLE_EXPR_CONFIG.replace(old, f'{key} = "{text}"')
+
+
+class TestDeepExpressions:
+    @pytest.mark.parametrize("family", DEPTH_FAMILIES)
+    def test_expression_at_the_bound_runs_every_command(self, tmp_path, capsys, family):
+        key, make = DEPTH_FAMILIES[family]
+        path, out = write(tmp_path, _depth_config(key, make(MAX_DEPTH))), str(tmp_path / "o.csv")
+        for argv in (
+            ["validate"],
+            ["classify"],
+            ["scan", "--what", "residual", "--out", out],
+            ["scan", "--what", "crosscheck", "--out", out],
+            ["scan", "--what", "E", "--out", out],
+            ["geodesic", "--x0", "0.1,-0.2", "--y0", "1,0.5", "--T", "0.02", "--out", out],
+        ):
+            assert main([argv[0], path, *argv[1:]]) == 0, capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, text, message",
+        [
+            ("expr", DEPTH_FAMILIES["parentheses"][1](MAX_DEPTH + 1), f"{NESTED} (offset {MAX_DEPTH + 2})"),
+            ("expr", DEPTH_FAMILIES["sum"][1](MAX_DEPTH + 1), DEEP),
+            ("b1", DEPTH_FAMILIES["sin"][1](MAX_DEPTH + 1), DEEP),
+            # reproducers of a RecursionError in the parser and in diff_expr
+            ("expr", _nested("", "s", 300), f"{NESTED} (offset {MAX_DEPTH})"),
+            ("expr", _nested("sin", "s", 300), f"{NESTED} (offset {4 * MAX_DEPTH + 3})"),
+            ("expr", " + ".join(["s"] * 3000), DEEP),
+        ],
+        ids=["parentheses", "sum", "sin", "300_parentheses", "300_sin", "3000_terms"],
+    )
+    def test_expression_over_the_bound_names_its_line(self, tmp_path, capsys, key, text, message):
+        config_text = _depth_config(key, text)
+        number = config_text.splitlines().index(f'{key} = "{text}"') + 1
+        what = "phi" if key == "expr" else key
+        assert main(["validate", write(tmp_path, config_text)]) == 1
+        assert capsys.readouterr().err == f"config error: line {number}: bad expression for {what}: {message}\n"
+
+
+class TestUnallocatableGrids:
+    # Each first allocation is larger than a 2^47-byte address space, so that
+    # no host can grant it.
+    @pytest.mark.parametrize("command", ["validate", "classify"])
+    @pytest.mark.parametrize("count", ["n_x2 = 10000000000000", "n_t = 100000000000000"])
+    def test_unallocatable_grid_is_config_error(self, tmp_path, capsys, command, count):
+        path = write(tmp_path, IRREVERSIBLE_CONFIG + f"\n[sampling]\n{count}\n")
+        assert main([command, path]) == 1
+        assert capsys.readouterr().err.startswith("config error: Unable to allocate ")
+
+
+class TestMainPass:
+    def test_repeated_calls_build_the_parser_once(self, tmp_path, capsys):
+        cli.build_parser.cache_clear()
+        path = write(tmp_path, CLASS_B_CONFIG)
+        for command in ("validate", "classify", "validate"):
+            assert main([command, path]) == 0
+        with pytest.raises(SystemExit):
+            main(["classify"])
+        assert cli.build_parser.cache_info().misses == 1
+
+    def test_a_command_rebound_after_the_first_call_runs(self, tmp_path, monkeypatch, capsys):
+        path = write(tmp_path, CLASS_B_CONFIG)
+        assert main(["classify", path]) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_classify", lambda args, bundle, cfg: seen.append((args, bundle, cfg)) or 7)
+        assert main(["classify", path]) == 7
+        [(args, bundle, cfg)] = seen
+        assert args.config == path and cfg == load_config(path)
+        assert bundle.phi.b0 == cfg.b0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "--out", "v.csv"],
+            ["classify"],
+            ["scan", "--what", "residual", "--out", "r.csv"],
+            ["geodesic", "--x0", "0,0", "--y0", "0.5,0", "--T", "0.05", "--out", "g.csv"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_each_command_loads_its_config_once(self, tmp_path, monkeypatch, capsys, argv):
+        loads, builds = [], []
+        load, build = cli.load_config, ExperimentConfig.build_bundle
+        monkeypatch.setattr(cli, "load_config", lambda path: loads.append(path) or load(path))
+        monkeypatch.setattr(ExperimentConfig, "build_bundle", lambda cfg: builds.append(cfg) or build(cfg))
+        path = write(tmp_path, CLASS_B_CONFIG)
+        monkeypatch.chdir(tmp_path)
+        assert main([argv[0], path, *argv[1:]]) == 0
+        assert loads == [path] and len(builds) == 1
+
+
 # Small configs drawn from the DSL grammar, with overflowing powers, exp of
 # exp, poles and out-of-range constants: every command ends with an exit
 # code, never with an exception or a numpy warning.
@@ -786,11 +904,9 @@ _PROFILE = _tame_or_raw(_expressions(("s",)), lambda e: f"sin({e})").map(
 )
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(nu=_NU, b1=_FORM, b2=_FORM, phi=_PROFILE, b0=st.sampled_from([0.4, 0.9]))
-def test_drawn_configs_end_with_an_exit_code(nu, b1, b2, phi, b0):
-    text = f"""
+def _drawn_config(nu, b1, b2, phi, b0, n):
+    """A drawn config sampled n x n x n on the base x fiber grid, 8n on s."""
+    return f"""
 [metric]
 nu = "{nu}"
 x1min = -1.0
@@ -808,22 +924,42 @@ expr = "{phi}"
 b0 = {b0}
 
 [sampling]
-n_x1 = 8
-n_x2 = 8
-n_t = 8
-n_s = 64
+n_x1 = {n}
+n_x2 = {n}
+n_t = {n}
+n_s = {8 * n}
 """
+
+
+def _verdict(path):
+    """classify's exit code and verdict line."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(["classify", path])
+    return code, out.getvalue().partition("\n")[0]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(nu=_NU, b1=_FORM, b2=_FORM, phi=_PROFILE, b0=st.sampled_from([0.4, 0.9]))
+def test_drawn_configs_end_with_an_exit_code(nu, b1, b2, phi, b0):
+    """Every command ends with an exit code, and a verdict that classify
+    prints is the one it prints at every sampling count doubled."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "drawn.cfg")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        path, doubled = os.path.join(tmp, "drawn.cfg"), os.path.join(tmp, "doubled.cfg")
+        for name, n in ((path, 8), (doubled, 16)):
+            with open(name, "w", encoding="utf-8") as handle:
+                handle.write(_drawn_config(nu, b1, b2, phi, b0, n))
         out = os.path.join(tmp, "out.csv")
         for argv in (
             ["validate"],
-            ["classify"],
             ["scan", "--what", "residual", "--out", out],
             ["scan", "--what", "crosscheck", "--out", out],
             ["scan", "--what", "E", "--out", out],
             ["geodesic", "--x0", "0.1,-0.2", "--y0", "1,0.5", "--T", "0.02", "--out", out],
         ):
             assert main([argv[0], path, *argv[1:]]) in (0, 1, 2, 3)
+        code, verdict = _verdict(path)
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert verdict.startswith("verdict: ")
+            assert _verdict(doubled) == (0, verdict)
