@@ -271,58 +271,173 @@ def riemann_geodesic(metric: IsothermalMetric, x0, y0, T: float, h: float) -> Ge
 # Unparametrized path comparison
 
 
-# Size of the (rows, segments) temporaries of _points_to_polyline, in
-# float64 values: 1 MB each, three of them in one workspace allocated once
-# per call.  Speed was flat from 2^15 to 2^17 values.  At this size the
-# freed workspace also lifts glibc's dynamic mmap threshold above the
-# 0.2-2 MB arrays of classify and scan, as the 16 MB all-pairs temporaries
-# did before; with 256 KB temporaries, a classify after a geodesic run in
-# the same process took ~20 % longer.
+# Size of the workspace rows of _points_to_polyline, in float64 values:
+# 1 MB each, three of them in one workspace allocated once per call (less
+# when the inputs are small).  The chunk stage slices it into (points,
+# chunks) blocks, the exact stage into (pairs, chunk size) blocks.  Speed
+# was flat from 2^15 to 2^17 values.  At this size the freed workspace also
+# lifts glibc's dynamic mmap threshold above the 0.2-2 MB arrays of
+# classify and scan, as the 16 MB all-pairs temporaries once did; with
+# 256 KB rows, a classify after a geodesic run in the same process took
+# ~20 % longer.
 _BLOCK_VALUES = 1 << 17
 
 
 def _points_to_polyline(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
     """Distance from each point to the nearest location on the polyline.
 
-    Works on blocks of points against all segments, with the x and y
-    components in separate arrays, so memory is O(n + m) whatever the path
-    lengths.  It takes one square root per point, of the smallest squared
-    distance; the square root is monotone and correctly rounded, so this
-    equals the smallest of the distances.
+    An exact two-stage search, pruned as in Taha & Hanbury's exact
+    Hausdorff distance (IEEE TPAMI 37(11), 2015).  The m segments are cut
+    into chunks of K = max(4, round(sqrt(m) / 2)) consecutive segments; a
+    ragged last chunk repeats its last segment, which leaves every minimum
+    as it is.
+
+    1. Chunk stage, on blocks of points against all chunks: a squared
+       lower bound lb to each chunk's bounding box (the exact min and max
+       over the endpoints of its segments) and a squared upper bound ub,
+       the smallest squared distance to a chunk's first vertex.  A chunk
+       is a candidate unless lb exceeds a threshold just above ub, set
+       so that rounding cannot make a pruned chunk hold the minimum.
+    2. Exact stage, on blocks of (point, candidate chunk) pairs: the
+       all-pairs segment formula in its operation order, the min over each
+       chunk's segments, then over each point's chunks, and one square root
+       of the smallest squared distance.  The square root is monotone and
+       correctly rounded, so this equals the smallest of the distances.
+
+    A segment dropped in stage 1 has a computed distance no smaller than a
+    kept one, so the result is bitwise that of the all-pairs search, with
+    memory O(n + m) whatever the path lengths.  Inputs of at most
+    _BLOCK_VALUES / 16 (point, segment) pairs, such as short probes, skip
+    the chunks and take the formula on all pairs at once: below about
+    10^4 pairs the numpy calls of the two stages cost more than the
+    distances they save.
     """
-    if len(poly) == 1:
+    n, m = len(points), len(poly) - 1
+    if m == 0:
         return np.linalg.norm(points - poly[0], axis=1)
     px, py = poly[:-1, 0], poly[:-1, 1]
     dx = poly[1:, 0] - px
     dy = poly[1:, 1] - py
     lensq = dx * dx + dy * dy
     lensq[lensq == 0.0] = 1.0
+    if n * m <= _BLOCK_VALUES // 16:
+        bx, by = points[:, 0, None], points[:, 1, None]
+        tpar = ((bx - px) * dx + (by - py) * dy) / lensq
+        tpar.clip(0.0, 1.0, out=tpar)
+        ex = bx - (tpar * dx + px)
+        ey = by - (tpar * dy + py)
+        return np.sqrt((ex * ex + ey * ey).min(axis=1))
+    size = max(4, round(math.sqrt(m) / 2))
+    n_chunks = -(-m // size)
+    seg = np.minimum(np.arange(n_chunks * size), m - 1).reshape(n_chunks, size)
+    # a chunk's vertices are its segments' starts and its last segment's end
+    corners = poly[np.column_stack((seg, seg[:, -1] + 1))]
+    (xlo, ylo), (xhi, yhi) = corners.min(axis=1).T, corners.max(axis=1).T
+    # from here on, one row of segments per chunk
+    px, py, dx, dy, lensq = (v[seg] for v in (px, py, dx, dy, lensq))
+    vx, vy = px[:, 0], py[:, 0]
+    # The threshold ub (1 + 2^-20) + 2^24 eta^2 is conservative under
+    # rounding.  Let u = 2^-53, M the largest coordinate magnitude and
+    # eta = 32 u M + 2^-499.
+    # - For a point q and a segment S, the computed squared distance e2
+    #   has (1 - u)^2 (d(q, S) - eta) <= sqrt(e2)
+    #   <= (1 + u)^2 (d(q, S) + eta).
+    #   The rounded direction moves S by at most 2.9 u M; the clipped
+    #   parameter is off by at most 6.1 u |q - start| / |direction|, which
+    #   moves the projection by at most 17.3 u M (or by the segment's
+    #   length, below 2^-500, when its squares underflow); forming
+    #   start + t * direction adds 7.1 u M.
+    # - A segment of a pruned chunk lies in the chunk's box, so its true
+    #   distance is at least L with L^2 >= lb / (1 + u)^4.  The chunk that
+    #   attains ub has a segment starting at a vertex V with
+    #   |q - V|^2 <= ub / (1 - u)^4.
+    # - So a pruned segment cannot undercut that one once
+    #   L >= (1 + 4.1 u) (|q - V| + 2 eta).  As (x + 2 eta)^2 <=
+    #   (1 + 2^-21) x^2 + (2^23 + 4) eta^2 for every x, lb > ub (1 + 2^-20)
+    #   + 2^24 eta^2 is enough, with room for the rounding of the bounds and
+    #   of the threshold, and for underflow: its absolute errors, below
+    #   2^-1070, are far under 2^24 eta^2 >= 2^-974.  Coordinates of
+    #   magnitude 2^509 or more could overflow a square, and then every
+    #   chunk is kept.
+    # Every point keeps the chunk that attains its ub: fl(a - b) = -fl(b - a)
+    # and rounding is monotone, so each computed box offset is at most the
+    # computed offset to the chunk's first vertex, which lies in the box:
+    # lb <= ub <= threshold.  So each point has a pair for reduceat.  A nan
+    # bound compares false, so a point with one keeps every chunk.
+    big = float(max(abs(points).max(), abs(poly).max()))
+    eta = 2.0**-48 * big + 2.0**-499
+    slack = 2.0**24 * eta * eta if big < 2.0**509 else math.inf
     qx, qy = points[:, 0, None], points[:, 1, None]
-    nearest = np.empty(len(points))
-    block = max(1, min(len(points), _BLOCK_VALUES // len(px)))
-    work = np.empty((3, block, len(px)))
-    for lo in range(0, len(points), block):
-        bx, by = qx[lo : lo + block], qy[lo : lo + block]
-        tpar, ex, ey = work[:, : len(bx)]
-        # projection parameter of each point on each segment, clipped to it
-        np.subtract(bx, px, out=tpar)
-        tpar *= dx
-        np.subtract(by, py, out=ey)
-        ey *= dy
-        tpar += ey
-        tpar /= lensq
-        np.clip(tpar, 0.0, 1.0, out=tpar)
-        # offsets from the projections, point - (start + tpar * direction)
-        np.multiply(tpar, dx, out=ex)
-        ex += px
-        np.subtract(bx, ex, out=ex)
-        np.multiply(tpar, dy, out=ey)
-        ey += py
-        np.subtract(by, ey, out=ey)
-        ex *= ex
-        ey *= ey
-        ex += ey
-        np.min(ex, axis=1, out=nearest[lo : lo + block])
+    nearest = np.empty(n)
+    width = max(min(_BLOCK_VALUES, n * n_chunks * size), n_chunks, size)
+    work = np.empty((3, width))
+    rows_per_block = max(1, width // n_chunks)
+    pairs_per_block = max(1, width // size)
+    for lo in range(0, n, rows_per_block):
+        bx, by = qx[lo : lo + rows_per_block], qy[lo : lo + rows_per_block]
+        b = len(bx)
+        a, c, e = work[:, : b * n_chunks].reshape(3, b, n_chunks)
+        # upper bound: squared distance to each chunk's first vertex
+        np.subtract(bx, vx, out=a)
+        a *= a
+        np.subtract(by, vy, out=c)
+        c *= c
+        a += c
+        thr = a.min(axis=1)
+        thr *= 1.0 + 2.0**-20
+        thr += slack
+        # lower bound: squared distance to each chunk's box
+        np.subtract(xlo, bx, out=a)
+        np.subtract(bx, xhi, out=c)
+        np.maximum(a, c, out=a)
+        np.maximum(a, 0.0, out=a)
+        a *= a
+        np.subtract(ylo, by, out=c)
+        np.subtract(by, yhi, out=e)
+        np.maximum(c, e, out=c)
+        np.maximum(c, 0.0, out=c)
+        c *= c
+        a += c
+        keep = a > thr[:, None]
+        np.logical_not(keep, out=keep)
+        rows, chunks = np.nonzero(keep)
+        first = np.searchsorted(rows, np.arange(b))  # rows ascend, each point is there
+        pair_min = np.empty(len(rows))
+        for plo in range(0, len(rows), pairs_per_block):
+            r = rows[plo : plo + pairs_per_block]
+            k = chunks[plo : plo + pairs_per_block]
+            sx, sy = bx[r], by[r]
+            tpar, ex, ey = work[:, : len(r) * size].reshape(3, len(r), size)
+            # projection parameter of each point on each segment, clipped to it;
+            # take(mode="clip") writes straight into out, mode="raise" buffers
+            px.take(k, axis=0, out=tpar, mode="clip")
+            np.subtract(sx, tpar, out=tpar)
+            dx.take(k, axis=0, out=ex, mode="clip")
+            tpar *= ex
+            py.take(k, axis=0, out=ey, mode="clip")
+            np.subtract(sy, ey, out=ey)
+            dy.take(k, axis=0, out=ex, mode="clip")
+            ey *= ex
+            tpar += ey
+            lensq.take(k, axis=0, out=ex, mode="clip")
+            tpar /= ex
+            tpar.clip(0.0, 1.0, out=tpar)
+            # offsets from the projections, point - (start + tpar * direction)
+            dx.take(k, axis=0, out=ex, mode="clip")
+            ex *= tpar
+            px.take(k, axis=0, out=ey, mode="clip")
+            ex += ey
+            np.subtract(sx, ex, out=ex)
+            dy.take(k, axis=0, out=ey, mode="clip")
+            ey *= tpar
+            py.take(k, axis=0, out=tpar, mode="clip")
+            ey += tpar
+            np.subtract(sy, ey, out=ey)
+            ex *= ex
+            ey *= ey
+            ex += ey
+            ex.min(axis=1, out=pair_min[plo : plo + pairs_per_block])
+        np.minimum.reduceat(pair_min, first, out=nearest[lo : lo + b])
     return np.sqrt(nearest)
 
 
@@ -330,9 +445,14 @@ def path_distance(a: GeodesicPath, b: GeodesicPath) -> float:
     """Symmetric mean nearest-point distance between two sampled paths.
 
     Insensitive to parametrization and to sample order by construction.
+    Raises ValueError for an empty path or a non-finite sample.
     """
     if len(a.samples) == 0 or len(b.samples) == 0:
         raise ValueError("paths must be non-empty")
+    for name, path in (("a", a), ("b", b)):
+        finite = np.isfinite(path.samples).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"path {name} has a non-finite sample at index {int(np.argmin(finite))}")
     d_ab = float(np.mean(_points_to_polyline(a.samples, b.samples)))
     d_ba = float(np.mean(_points_to_polyline(b.samples, a.samples)))
     return 0.5 * (d_ab + d_ba)

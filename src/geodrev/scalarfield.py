@@ -450,7 +450,8 @@ def eval_expr(e: Expr, env: Mapping[str, Value]) -> Value:
         if row.outside is not None:
             if isinstance(e.right, Const):  # b is a Python float: one test, no array
                 if row.outside(b):
-                    raise _domain_error(row.message, np.asarray(True), env)
+                    everywhere = np.broadcast_shapes(*map(np.shape, env.values()))
+                    raise _domain_error(row.message, np.broadcast_to(True, everywhere), env)
             elif (bad := row.outside(np.asarray(b))).any():
                 raise _domain_error(row.message, bad, env)
         return row.evaluate(a, b)

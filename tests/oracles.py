@@ -478,3 +478,20 @@ def structure_residuals(metric: IsothermalMetric, x1, x2, t):
         return float(max(gaps))
 
     return max_gap(lhs1, rhs1), max_gap(lhs2, rhs2), max_gap(lhs3, rhs3)
+
+
+def ref_points_to_polyline(points, poly):
+    """Distance from each point to the nearest location on the polyline, by
+    the all-pairs formula with (n, m - 1, 2) temporaries; the pruned
+    geodesics._points_to_polyline must match it bit for bit."""
+    if len(poly) == 1:
+        return np.linalg.norm(points - poly[0], axis=1)
+    p = poly[:-1]
+    d = poly[1:] - p
+    lensq = np.sum(d * d, axis=1)
+    lensq = np.where(lensq == 0.0, 1.0, lensq)
+    w = points[:, None, :] - p[None, :, :]
+    tpar = np.clip(np.sum(w * d[None, :, :], axis=2) / lensq[None, :], 0.0, 1.0)
+    proj = p[None, :, :] + tpar[:, :, None] * d[None, :, :]
+    dist = np.linalg.norm(points[:, None, :] - proj, axis=2)
+    return np.min(dist, axis=1)

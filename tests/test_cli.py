@@ -694,6 +694,13 @@ class TestErrorExitCodes:
         assert code == 1
         assert err == "config error: integer power overflows at x1=-1.0, x2=-1.0\n"
 
+    @pytest.mark.parametrize("b1", ["0.2 + x1/0", "0.2 + x1/(x2-x2)"])
+    def test_division_by_zero_names_its_point(self, tmp_path, capsys, b1):
+        cfg = CLASS_B_CONFIG.replace('b1 = "0.2"', f'b1 = "{b1}"')
+        code = main(["validate", write(tmp_path, cfg)])
+        assert code == 1
+        assert capsys.readouterr().err == "config error: division by zero at x1=-1.0, x2=-1.0\n"
+
     def test_tiny_coefficient_validates(self, tmp_path, capsys):
         cfg = CLASS_B_CONFIG.replace('b1 = "0.2"', 'b1 = "0.1 + x1/1e200"')
         code = main(["validate", write(tmp_path, cfg)])

@@ -3,8 +3,12 @@ import math
 import re
 import tracemalloc
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from geodrev import (
     GeodesicPath,
@@ -24,6 +28,7 @@ from geodrev import (
 )
 from geodrev import geodesics
 from geodrev.geodesics import _integrate_batch, _points_to_polyline, _rates, path_prefix
+from oracles import ref_points_to_polyline
 
 SPHERE_NU = "-ln(1 + (x1^2 + x2^2)/4)"
 
@@ -394,19 +399,34 @@ class TestRecordedBytes:
         assert hashlib.sha256(np.array(errors).tobytes()).hexdigest() == digest
 
 
-def _points_to_polyline_all_pairs(points, poly):
-    """The all-pairs formula, with (n, m - 1, 2) temporaries."""
-    if len(poly) == 1:
-        return np.linalg.norm(points - poly[0], axis=1)
-    p = poly[:-1]
-    d = poly[1:] - p
-    lensq = np.sum(d * d, axis=1)
-    lensq = np.where(lensq == 0.0, 1.0, lensq)
-    w = points[:, None, :] - p[None, :, :]
-    tpar = np.clip(np.sum(w * d[None, :, :], axis=2) / lensq[None, :], 0.0, 1.0)
-    proj = p[None, :, :] + tpar[:, :, None] * d[None, :, :]
-    dist = np.linalg.norm(points[:, None, :] - proj, axis=2)
-    return np.min(dist, axis=1)
+_COORDINATE = st.floats(-1e8, 1e8, allow_nan=False)
+
+
+@st.composite
+def _polyline_cases(draw):
+    """(points, poly, _BLOCK_VALUES): a polyline of random steps from an
+    offset up to 1e8, steps down to 1e-12 or to an ulp of the offset, runs
+    of zero-length segments that fill whole chunks, and points near it or
+    exactly on its vertices.  _BLOCK_VALUES = 50 prunes every input and
+    splits it into many blocks; at the default, inputs of up to 8192 pairs
+    take the all-pairs branch."""
+    n_vertices = draw(st.integers(1, 150))
+    n_points = draw(st.integers(1, 200))
+    origin = np.array([draw(_COORDINATE), draw(_COORDINATE)])
+    ulps = draw(st.sampled_from([0, 1, 8]))
+    if ulps:  # steps of a few ulps of the offset, where rounding is as large as the distances
+        scale = ulps * float(np.spacing(max(1.0, np.max(np.abs(origin)))))
+    else:
+        scale = 10.0 ** draw(st.integers(-12, 0))
+    stall = draw(st.sampled_from([0.0, 0.5, 0.95]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    steps = rng.normal(size=(n_vertices, 2)) * scale
+    steps[rng.random(n_vertices) < stall] = 0.0
+    poly = origin + np.cumsum(steps, axis=0)
+    points = origin + rng.normal(size=(n_points, 2)) * scale * math.sqrt(n_vertices)
+    on_vertex = rng.random(n_points) < 0.3
+    points[on_vertex] = poly[rng.integers(0, n_vertices, int(on_vertex.sum()))]
+    return points, poly, draw(st.sampled_from([50, 1 << 17]))
 
 
 class TestBlockedPolylineDistance:
@@ -415,7 +435,7 @@ class TestBlockedPolylineDistance:
         points = rng.normal(size=(n, 2))
         poly = np.cumsum(rng.normal(size=(m, 2)), axis=0)
         np.testing.assert_array_equal(
-            _points_to_polyline(points, poly), _points_to_polyline_all_pairs(points, poly)
+            _points_to_polyline(points, poly), ref_points_to_polyline(points, poly)
         )
 
     def test_zero_length_segments_and_ragged_blocks(self, rng, monkeypatch):
@@ -425,7 +445,7 @@ class TestBlockedPolylineDistance:
         poly[-2] = poly[-1]
         points = np.vstack([rng.normal(size=(201, 2)) * 3.0, poly[8:16]])
         np.testing.assert_array_equal(
-            _points_to_polyline(points, poly), _points_to_polyline_all_pairs(points, poly)
+            _points_to_polyline(points, poly), ref_points_to_polyline(points, poly)
         )
 
     def test_memory_is_bounded(self):
@@ -439,4 +459,52 @@ class TestBlockedPolylineDistance:
         finally:
             tracemalloc.stop()
         assert 0.0 < distance <= 1e-3
-        assert peak < 32 * 2**20
+        assert peak < 4 * 2**20
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=_polyline_cases())
+    @example(case=(np.array([[0.3, -0.2]]), np.array([[1.0, 2.0]]), 1 << 17))
+    @example(case=(np.array([[0.3, -0.2]]), np.array([[1.0, 2.0], [1.5, 2.5]]), 50))
+    def test_pruned_equals_all_pairs(self, case):
+        points, poly, block_values = case
+        with mock.patch.object(geodesics, "_BLOCK_VALUES", block_values):
+            pruned = _points_to_polyline(points, poly)
+        np.testing.assert_array_equal(pruned, ref_points_to_polyline(points, poly))
+
+    def test_absolute_slack_keeps_the_minimum(self, monkeypatch):
+        # Steps of an ulp or two at 1e8: the chunk that holds the smallest
+        # computed distance has a box just beyond the nearest chunk vertex,
+        # and a threshold with only the relative margin would prune it.
+        monkeypatch.setattr(geodesics, "_BLOCK_VALUES", 50)  # prune even 5 pairs
+        points = np.array([[-97649986.20452344, 14842614.48281347]])
+        poly = np.array([
+            [-97649986.20452346, 14842614.482813489], [-97649986.20452343, 14842614.48281351],
+            [-97649986.20452344, 14842614.482813505], [-97649986.20452346, 14842614.482813518],
+            [-97649986.20452344, 14842614.482813498], [-97649986.20452344, 14842614.482813494],
+        ])
+        np.testing.assert_array_equal(
+            _points_to_polyline(points, poly), ref_points_to_polyline(points, poly)
+        )
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e150, 1e300])
+    def test_extreme_magnitudes_equal_all_pairs(self, scale, rng):
+        # squares that underflow or overflow: the threshold keeps every chunk
+        # whose segments could still hold the minimum
+        poly = np.cumsum(rng.normal(size=(300, 2)), axis=0) * scale
+        points = np.vstack([rng.normal(size=(100, 2)) * 10.0 * scale, poly[::7]])
+        with np.errstate(all="ignore"):
+            pruned = _points_to_polyline(points, poly)
+            np.testing.assert_array_equal(pruned, ref_points_to_polyline(points, poly))
+
+    @pytest.mark.parametrize("which, index", [("a", 0), ("a", 3), ("b", 6)])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_is_named(self, which, index, bad):
+        s = np.linspace(0.0, 1.0, 7)
+        paths = {
+            name: GeodesicPath(np.column_stack([s, s + shift]), None, 1e-3, 1.0, False)
+            for name, shift in (("a", 0.0), ("b", 1e-3))
+        }
+        paths[which].samples[index, 1] = bad
+        with pytest.raises(ValueError, match=f"^path {which} has a non-finite sample at index {index}$"):
+            path_distance(paths["a"], paths["b"])
+
