@@ -34,7 +34,6 @@ from .geodesics import (
     path_distance,
     reversibility_error,
     reversibility_scan,
-    riemann_geodesic,
     spray,
 )
 from .config import ConfigError

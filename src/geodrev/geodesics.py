@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import IsothermalMetric, MetricBundle
+from .metric import MetricBundle
 from .runtime import ordered_map
-from .scalarfield import EvalDomainError
+from .scalarfield import EvalDomainError, _Emitter, _Fallback
 
 
 # A tangent vector's length must lie in [1e-SPEED_DECADES, 1e+SPEED_DECADES]:
@@ -51,11 +51,47 @@ class GeodesicPath:
 # Norm evaluation (vectorized over batches of (x, y) pairs)
 
 
-def _norm_batch(bundle: MetricBundle, x1, x2, y1, y2):
+def _norm_walk(bundle: MetricBundle, x1, x2, y1, y2):
+    """F at each (x1, x2, y1, y2), by walking nu, b1, b2 and phi."""
     env = {"x1": x1, "x2": x2}
     alpha = np.exp(bundle.metric.nu.eval(env)) * np.hypot(y1, y2)
     beta = bundle.form.b1.eval(env) * y1 + bundle.form.b2.eval(env) * y2
     return alpha * bundle.phi.phi(s=beta / alpha)
+
+
+class _Oracle:
+    """What the geodesic oracle computes once per bundle: ``_norm_walk`` as one
+    straight-line program (its four trees share their common subexpressions)
+    and the spray's base step hx."""
+
+    def __init__(self, bundle: MetricBundle):
+        em = _Emitter(("x1", "x2", "y1", "y2"))
+        base = {"x1": "x1", "x2": "x2"}
+        # the walk's operations, in its order
+        nu = em.emit(bundle.metric.nu.expr, base)
+        alpha = em.binary("*", em.call(np.exp, nu), em.call(np.hypot, "y1", "y2"))
+        b1y1 = em.binary("*", em.emit(bundle.form.b1.expr, base), "y1")
+        beta = em.binary("+", b1y1, em.binary("*", em.emit(bundle.form.b2.expr, base), "y2"))
+        phi = em.emit(bundle.phi.phi.expr, {"s": em.binary("/", beta, alpha)})
+        self.norm = em.compile(em.binary("*", alpha, phi))
+        self.hx = 1e-5 * max(1.0, bundle.metric.domain.extent)
+
+
+def _oracle(bundle: MetricBundle) -> _Oracle:
+    """The bundle's ``_Oracle``, built on its first geodesic use."""
+    if bundle._oracle is None:
+        bundle._oracle = _Oracle(bundle)
+    return bundle._oracle
+
+
+def _norm_batch(bundle: MetricBundle, x1, x2, y1, y2):
+    """``_norm_walk`` through the bundle's compiled program: bitwise the same
+    values.  Where a domain check or a power fails, or anything overflows,
+    the walk runs again and raises or returns what it always did."""
+    try:
+        return _oracle(bundle).norm(x1, x2, y1, y2)
+    except (_Fallback, FloatingPointError):
+        return _norm_walk(bundle, x1, x2, y1, y2)
 
 
 def finsler_norm(bundle: MetricBundle, x, y) -> float:
@@ -109,7 +145,7 @@ def _rates(bundle: MetricBundle, states: np.ndarray) -> np.ndarray:
                 f" at x=({x1}, {x2}), y=({y1}, {y2})"
             )
     hys = [1e-4 * speed for speed in speeds]
-    hx = 1e-5 * max(1.0, bundle.metric.domain.extent)
+    hx = _oracle(bundle).hx
 
     steps = np.array([(hx, hx, hy, hy) for hy in hys])
     pts = (states[:, None, :] + _STENCIL * steps[:, None, :]).reshape(-1, 4)
@@ -249,22 +285,6 @@ def path_prefix(path: GeodesicPath, T: float) -> GeodesicPath:
     return GeodesicPath(
         path.samples[: k + 1], path.velocities[: k + 1], path.h, k * path.h, count < n
     )
-
-
-def riemann_geodesic(metric: IsothermalMetric, x0, y0, T: float, h: float) -> GeodesicPath:
-    """Geodesic of the conformal factor alone, via closed-form Christoffels."""
-    nu1, nu2 = metric.nu1, metric.nu2
-
-    def rate(z):
-        x1, x2, y1, y2 = z.T
-        env = {"x1": x1, "x2": x2}
-        n1 = nu1.eval(env)
-        n2 = nu2.eval(env)
-        a1 = -(n1 * y1 * y1 + 2.0 * n2 * y1 * y2 - n1 * y2 * y2)
-        a2 = -(-n2 * y1 * y1 + 2.0 * n1 * y1 * y2 + n2 * y2 * y2)
-        return np.column_stack((y1, y2, a1, a2))
-
-    return _rk4_batch(rate, metric.domain, [x0], [y0], [T], h)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -308,6 +308,7 @@ class MetricBundle:
         self.phi = phi
         self.sampling = sampling
         self._report: Optional[BundleValidationReport] = None
+        self._oracle = None  # geodesics' compiled norm and spray step, built on first use
 
     def b_norm(self, x1, x2):
         """Riemannian length b(x) of the form, e^{-nu} * sqrt(b1^2 + b2^2)."""

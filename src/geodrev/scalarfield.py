@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import struct
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Union
 
@@ -475,6 +476,116 @@ def eval_expr(e: Expr, env: Mapping[str, Value]) -> Value:
             raise _domain_error(row.message, bad, env)
         return row.evaluate(a)
     raise ExpressionError(f"bad node {e!r}")
+
+
+# ---------------------------------------------------------------------------
+# Straight-line programs.  An emitter turns expression trees into one Python
+# function with a line per distinct node: equal subtrees share a register,
+# and each line makes the call that eval_expr makes for its node, operands
+# in the same order, so every value is bitwise the walk's.  A domain check
+# that fails raises _Fallback instead of naming a point: the caller reruns
+# the walk, which names it.
+
+
+class _Fallback(Exception):
+    """A domain check of a compiled program failed; the walk names the point."""
+
+
+class _Emitter:
+    def __init__(self, params):
+        self.params = tuple(params)
+        self.lines: list[str] = []
+        self.scope = {"asarray": np.asarray, "power": np.power, "errstate": np.errstate,
+                      "_Fallback": _Fallback}
+        self.scope.update((op, row.evaluate) for op, row in _UNARY.items())
+        self._names: dict = {}    # key of a bound object -> its name in scope
+        self._regs: dict = {}     # (kind, op, operand registers) -> register
+        self._power = False
+
+    def _bind(self, key, value) -> str:
+        name = self._names.get(key)
+        if name is None:
+            name = self._names[key] = f"k{len(self._names)}"
+            self.scope[name] = value
+        return name
+
+    def _assign(self, key, text: str, check: Optional[str] = None) -> str:
+        reg = self._regs.get(key)
+        if reg is None:
+            if check:
+                self.lines.append(check)
+            reg = self._regs[key] = f"t{len(self._regs)}"
+            self.lines.append(f"{reg} = {text}")
+        return reg
+
+    def _outside(self, row, operand: str) -> str:
+        return f"if {self._bind(row.outside, row.outside)}(asarray({operand})).any(): raise _Fallback"
+
+    def call(self, fn: Callable, *args: str) -> str:
+        """Register holding ``fn(*args)``."""
+        return self._assign(("call", fn, args), f"{self._bind(fn, fn)}({', '.join(args)})")
+
+    def binary(self, op: str, a: str, b: str) -> str:
+        """Register holding ``a op b`` for op in + - * /, without a domain check."""
+        return self._assign(("unchecked", op, a, b), f"{a} {op} {b}")
+
+    def emit(self, e: Expr, env: Mapping[str, str], memo: Optional[dict] = None) -> str:
+        """Register holding the value of ``e``; ``env`` maps each variable to a register."""
+        memo = {} if memo is None else memo
+        reg = memo.get(id(e))
+        if reg is not None:
+            return reg
+        if isinstance(e, Const):
+            # by bit pattern: 0.0 and -0.0 stay apart, nan and inf need no repr
+            reg = self._bind(("const", type(e.value), struct.pack("<d", e.value)), e.value)
+        elif isinstance(e, Var):
+            try:
+                reg = env[e.name]
+            except KeyError:
+                raise ExpressionError(f"unbound variable {e.name!r}") from None
+        elif isinstance(e, Binary):
+            row = _BINARY[e.op]
+            a = self.emit(e.left, env, memo)
+            b = self.emit(e.right, env, memo)
+            check = None
+            if row.outside is not None:
+                if not isinstance(e.right, Const):
+                    check = self._outside(row, b)
+                elif row.outside(e.right.value):
+                    check = "raise _Fallback"
+            reg = self._assign(("bin", e.op, a, b), f"{a} {e.op} {b}", check)
+        elif isinstance(e, Power):
+            a = self.emit(e.base, env, memo)
+            k = int(e.exponent)
+            self._power = True
+            if k >= 0:
+                reg = self._assign(("pow", k, a), f"power({a}, {k})")
+            else:
+                check = f"if (asarray({a}) == 0.0).any(): raise _Fallback"
+                reg = self._assign(("pow", k, a), f"1.0 / power({a}, {-k})", check)
+        elif isinstance(e, Unary):
+            row = _UNARY[e.op]
+            a = self.emit(e.arg, env, memo)
+            check = None if row.outside is None else self._outside(row, a)
+            reg = self._assign(("un", e.op, a), f"{e.op}({a})", check)
+        else:
+            raise ExpressionError(f"bad node {e!r}")
+        memo[id(e)] = reg
+        return reg
+
+    def compile(self, result: str) -> Callable:
+        """The function of ``params`` that runs every emitted line and returns ``result``.
+
+        With a power in it, the whole body runs under one
+        ``np.errstate(over="raise")``: an overflow anywhere raises
+        FloatingPointError, and the walk tells a failing power from a
+        harmless overflow."""
+        body = [*self.lines, f"return {result}"]
+        if self._power:
+            body = ['with errstate(over="raise"):', *(f"    {line}" for line in body)]
+        source = "".join(f"    {line}\n" for line in body)
+        exec(compile(f"def program({', '.join(self.params)}):\n{source}", "<program>", "exec"), self.scope)
+        return self.scope["program"]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from geodrev.geodesics import GeodesicPath, _rk4_batch
 from geodrev.metric import PHI_VAR, IsothermalMetric, LinearForm, MetricBundle, PhiFunction, _beta_pair
 from geodrev.reversibility import point_data
 from geodrev.scalarfield import (
@@ -154,6 +155,23 @@ def gauss_curvature(metric: IsothermalMetric, x):
     """k = -e^{-2 nu} * (nu_11 + nu_22) in isothermal coordinates."""
     lap = integrability_obstruction(metric, x)
     return -np.exp(-2.0 * metric.nu.eval({"x1": x[0], "x2": x[1]})) * lap
+
+
+def riemann_geodesic(metric: IsothermalMetric, x0, y0, T: float, h: float) -> GeodesicPath:
+    """Geodesic of the conformal factor alone, via closed-form Christoffels,
+    on the product's RK4 engine."""
+    nu1, nu2 = metric.nu1, metric.nu2
+
+    def rate(z):
+        x1, x2, y1, y2 = z.T
+        env = {"x1": x1, "x2": x2}
+        n1 = nu1.eval(env)
+        n2 = nu2.eval(env)
+        a1 = -(n1 * y1 * y1 + 2.0 * n2 * y1 * y2 - n1 * y2 * y2)
+        a2 = -(-n2 * y1 * y1 + 2.0 * n1 * y1 * y2 + n2 * y2 * y2)
+        return np.column_stack((y1, y2, a1, a2))
+
+    return _rk4_batch(rate, metric.domain, [x0], [y0], [T], h)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from geodrev import (
     crosscheck,
     integrate,
     reversibility_scan,
-    riemann_geodesic,
     spray,
 )
 from geodrev.scalarfield import ScalarField
@@ -34,6 +33,7 @@ from oracles import (
     gauss_curvature,
     integrability_obstruction,
     ref_directional_derivs,
+    riemann_geodesic,
     structure_residuals,
 )
 

@@ -23,12 +23,11 @@ from geodrev import (
     path_distance,
     reversibility_error,
     reversibility_scan,
-    riemann_geodesic,
     spray,
 )
 from geodrev import geodesics
 from geodrev.geodesics import _integrate_batch, _points_to_polyline, _rates, path_prefix
-from oracles import ref_points_to_polyline
+from oracles import ref_points_to_polyline, riemann_geodesic
 
 SPHERE_NU = "-ln(1 + (x1^2 + x2^2)/4)"
 
