@@ -297,9 +297,9 @@ def path_prefix(path: GeodesicPath, T: float) -> GeodesicPath:
 # chunks) blocks, the exact stage into (pairs, chunk size) blocks.  Speed
 # was flat from 2^15 to 2^17 values.  At this size the freed workspace also
 # lifts glibc's dynamic mmap threshold above the 0.2-2 MB arrays of
-# classify and scan, as the 16 MB all-pairs temporaries once did; with
-# 256 KB rows, a classify after a geodesic run in the same process took
-# ~20 % longer.
+# scan's grid tables, as the 16 MB all-pairs temporaries once did; with
+# 256 KB rows, a whole-grid classify after a geodesic run in the same
+# process took ~20 % longer.
 _BLOCK_VALUES = 1 << 17
 
 

@@ -22,7 +22,7 @@ vanishes identically on the unit circle bundle.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -37,7 +37,7 @@ from .metric import (
     sample_grid,
     zero_threshold,
 )
-from .scalarfield import _require_finite
+from .scalarfield import ExpressionError, _require_finite
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +278,66 @@ class Classification:
         return "\n".join(lines)
 
 
-def _zero_test(values: np.ndarray, eps_zero: float) -> ZeroTest:
-    peak = float(np.max(np.abs(values)))
+def _peak(values) -> float:
+    return float(np.max(np.abs(values)))
+
+
+def _zero_test(values, eps_zero: float) -> ZeroTest:
+    """Whether max |values| is zero to eps_zero; values may also be that peak itself."""
+    peak = _peak(values)
     thr = zero_threshold(eps_zero, peak)
     return ZeroTest(peak, thr, peak <= thr < np.inf)  # never on inf or nan
+
+
+# Values per temporary in classify's fiber loop: 2^13 float64 (64 KB) keep
+# a block's few dozen temporaries in cache and under glibc's 128 KB mmap
+# threshold.  On a 2-core Xeon a doubled classify (42 x 42 x 128) took
+# 29-41 ms from 2^13 to 2^15 values, ~40 ms at 2^16, 48-56 ms at 2^17 and
+# ~64 ms unblocked.  Default sampling (21 x 21 x 64) runs as 4 blocks, a
+# few per cent slower than one pass once the allocator is warm; 2^14 or
+# 2^15 would make that 2 or 1 block but raise a doubled classify's
+# tracemalloc peak from ~1.8 MB to ~3.5 or ~6.5 MB.
+_BLOCK_VALUES = 1 << 13
+
+
+def _fiber_evidence(pd: PointData, phi: PhiFunction, x1, x2, t):
+    """M2, M and the residual at the angles t over pd's base points x, checked finite."""
+    fb = _fiber(pd, t)
+    m_values = _m_direct_from_point(pd, fb)
+    # phi, phi' and phi'' at beta serve the residual and the frame partials
+    beta_ladder = _ladder(phi, fb.beta)
+    residual_values = _residual_from_point(pd, fb, beta_ladder, m_values)
+    cd = _coord_data(pd, fb, beta_ladder.pp, beta_ladder.d1p, beta_ladder.d2p)
+    m2_values = _p32(pd, fb, cd) - _p1(pd, fb, cd)
+    # a product can overflow where its factors are finite; name it, not a verdict
+    _require_finite(
+        {"M": m_values, "residual": residual_values, "M2": m2_values}, {"x1": x1, "x2": x2, "t": t}
+    )
+    return m2_values, m_values, residual_values
+
+
+def _fiber_peaks(pd: PointData, phi: PhiFunction, x1, x2, t) -> list:
+    """max |M2|, |M| and |residual| over the base x fiber grid, a block of base rows at a time.
+
+    Base data that are constant everywhere give fiber arrays of one row,
+    which stay one block.  Max is exact, so the peaks are those of the
+    whole grid.  When a block raises, the whole grid runs through the same
+    function once, so that the error names the first failing field and
+    point of the whole grid.
+    """
+    varying = [name for name, values in vars(pd).items() if np.ndim(values)]  # (n, 1) columns
+    step = max(1, _BLOCK_VALUES // np.size(t))
+    blocks = [slice(a, a + step) for a in range(0, len(x1), step)] if varying else [slice(None)]
+    peaks = [0.0, 0.0, 0.0]
+    for rows in blocks:
+        block = replace(pd, **{name: getattr(pd, name)[rows] for name in varying})
+        try:
+            values = _fiber_evidence(block, phi, x1[rows], x2[rows], t)
+        except ExpressionError:
+            _fiber_evidence(pd, phi, x1, x2, t)
+            raise
+        peaks = [max(p, _peak(v)) for p, v in zip(peaks, values)]
+    return peaks
 
 
 def classify(bundle: MetricBundle) -> Classification:
@@ -299,40 +355,30 @@ def classify(bundle: MetricBundle) -> Classification:
 
     X1, X2, t = sample_grid(bundle.metric.domain, sampling)
     pd = point_data(bundle.form, bundle.metric, X1, X2)
-    fb = _fiber(pd, t)
     s_grid = np.linspace(-report.b_sup, report.b_sup, sampling.n_s)
 
     ladder = _ladder(bundle.phi, s_grid)
     even_gap = ladder.pp - ladder.pm
     e_values = ladder.E()
     curl_values = pd.db2_dx1 - pd.db1_dx2
-    m_values = _m_direct_from_point(pd, fb)
     b_variation = max(float(np.ptp(pd.b1)), float(np.ptp(pd.b2)))
     b_scale = max(float(np.max(np.abs(pd.b1))), float(np.max(np.abs(pd.b2))))
     nu_variation = float(np.ptp(pd.nu))
     nu_scale = float(np.max(np.abs(pd.nu)))
     b_thr, nu_thr = zero_threshold(eps0, b_scale), zero_threshold(eps0, nu_scale)
 
-    # phi, phi' and phi'' at beta serve the residual and the frame partials
-    beta_ladder = _ladder(bundle.phi, fb.beta)
-    residual_values = _residual_from_point(pd, fb, beta_ladder, m_values)
-    cd = _coord_data(pd, fb, beta_ladder.pp, beta_ladder.d1p, beta_ladder.d2p)
-    m2_values = _p32(pd, fb, cd) - _p1(pd, fb, cd)
-    # a product can overflow where its factors are finite; name it, not a verdict
-    _require_finite(
-        {"M": m_values, "residual": residual_values, "M2": m2_values}, {"x1": X1, "x2": X2, "t": t}
-    )
+    m2_peak, m_peak, residual_peak = _fiber_peaks(pd, bundle.phi, X1, X2, t)
     _require_finite({"E": e_values, "even gap": even_gap}, {"s": s_grid})
 
     evidence = {
-        "M2": _zero_test(m2_values, eps0),
+        "M2": _zero_test(m2_peak, eps0),
         "even": _zero_test(even_gap, eps0),
         "E": _zero_test(e_values, eps0),
         "curl": _zero_test(curl_values, eps0),
-        "M": _zero_test(m_values, eps0),
+        "M": _zero_test(m_peak, eps0),
         "b_const": ZeroTest(b_variation, b_thr, b_variation <= b_thr < np.inf),
         "nu_const": ZeroTest(nu_variation, nu_thr, nu_variation <= nu_thr < np.inf),
-        "residual": _zero_test(residual_values, eps0),
+        "residual": _zero_test(residual_peak, eps0),
     }
 
     residual_max = evidence["residual"].max_abs

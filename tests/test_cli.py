@@ -21,7 +21,7 @@ from geodrev import (
     integrate,
     reversibility_error,
 )
-from geodrev import cli, config
+from geodrev import cli, config, reversibility
 from geodrev.cli import main
 from geodrev.config import ConfigError, ExperimentConfig, load_config, parse_config
 from geodrev.metric import PHI_TEXTS
@@ -663,13 +663,35 @@ class TestErrorExitCodes:
         assert capsys.readouterr().err == "config error: geodesic flow is not finite at x=(0.01, 0.0), y=(1.0, 0.0)\n"
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_non_finite_evidence_is_config_error(self, tmp_path, capsys):
+    def test_non_finite_evidence_is_config_error(self, tmp_path, capsys, monkeypatch):
         # every field and b < b0 are finite, but F * e^-nu * curl overflows
         path = write(tmp_path, SUBNORMAL_ALPHA_CONFIG)
         assert main(["validate", path]) == 0
         capsys.readouterr()
+        for block_values in (reversibility._BLOCK_VALUES, 1):  # classify's blocks, then one row each
+            monkeypatch.setattr(reversibility, "_BLOCK_VALUES", block_values)
+            assert main(["classify", path]) == 1
+            err = capsys.readouterr().err
+            assert err == "config error: residual is not finite at x1=-1.0, x2=-1.0, t=0.0\n"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("block_values", [1, 1 << 13, 1 << 30])
+    def test_non_finite_evidence_names_the_first_point_of_the_grid(
+        self, tmp_path, capsys, monkeypatch, block_values
+    ):
+        # M2 overflows on every base row; the residual first at x1 = 0.6, in
+        # the third block of 128 rows.  The message names the residual there,
+        # as it did when classify evaluated the whole grid at once.
+        path = write(
+            tmp_path, SUBNORMAL_ALPHA_CONFIG.replace("1e-308*sin", "1e-308*(0.5 + 0.25*x1)*sin")
+        )
+        assert main(["validate", path]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(reversibility, "_BLOCK_VALUES", block_values)
         assert main(["classify", path]) == 1
-        assert capsys.readouterr().err == "config error: residual is not finite at x1=-1.0, x2=-1.0, t=0.0\n"
+        assert capsys.readouterr().err == (
+            "config error: residual is not finite at x1=0.6000000000000001, x2=0.0, t=0.0\n"
+        )
 
     def test_inconsistent_evidence_is_validation_failure(self, tmp_path, capsys):
         code = main(["classify", write(tmp_path, INCONSISTENT_CONFIG)])

@@ -10,12 +10,22 @@ bitwise-equal results with fewer evaluations.  The references that other
 test modules share live in oracles.py.
 """
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from geodrev import MetricBundle, cli, frames, reversibility
+from geodrev import (
+    IsothermalMetric,
+    LinearForm,
+    MetricBundle,
+    PhiFunction,
+    Rectangle,
+    cli,
+    frames,
+    reversibility,
+)
 from geodrev.cli import main
 from geodrev.metric import Sampling, even_odd_decompose, zero_threshold
 from geodrev.reversibility import (
@@ -42,11 +52,34 @@ WITNESSES = {
     "even": make_even_bundle,
 }
 
+
+def _generated(nu, b1, b2, phi):
+    return MetricBundle(
+        IsothermalMetric.from_text(nu, Rectangle(-1.0, 1.0, -1.0, 1.0)), LinearForm.from_text(b1, b2), phi
+    )
+
+
+# One config of each family that perfbench's corpus draws, with fixed coefficients.
+FAMILIES = {
+    "family_even": lambda: _generated(
+        "0.06*x1 - 0.04*x2^2 + 0.03*x1*x2", "0.12 - 0.1*x2", "-0.08 + 0.07*x1",
+        PhiFunction.from_text("1 + s^2", 0.9),
+    ),
+    "family_exact": lambda: _generated(  # b = grad(0.05*x1 - 0.07*x2 + 0.02*x1*x2 + 0.02*(x1^2 - x2^2))
+        "0.03*x1 - 0.02*x2^2 + 0.04*x1*x2", "0.05 + 0.02*x2 + 0.04*x1", "-0.07 + 0.02*x1 - 0.04*x2",
+        PhiFunction.from_text("exp(s^2) - 0.5*s", 0.6),
+    ),
+    "family_const_flat": lambda: _generated("0.05", "-0.12", "0.09", PhiFunction.matsumoto(0.4)),
+    "family_xdep_matsumoto": lambda: _generated(
+        "0", "0.15 - 0.09*x1", "0.05", PhiFunction.matsumoto(0.4)
+    ),
+}
+
 SAMPLINGS = {"default": Sampling(), "doubled": Sampling().doubled()}
 
 
 def witness(name, sampling_name="default"):
-    base = WITNESSES[name]()
+    base = {**WITNESSES, **FAMILIES}[name]()
     return MetricBundle(base.metric, base.form, base.phi, SAMPLINGS[sampling_name])
 
 
@@ -228,8 +261,23 @@ def assert_same_bits(actual, expected):
     assert actual.tobytes() == expected.tobytes()
 
 
+def check_classify_evidence(bundle):
+    result = reversibility.classify(bundle)
+    verdict, evidence, residual_max, cutoff, k2, _ = ref_classify(bundle)
+    assert result.verdict is verdict
+    assert list(result.evidence) == list(evidence)
+    for key, test in evidence.items():
+        got = result.evidence[key]
+        assert np.float64(got.max_abs).tobytes() == np.float64(test.max_abs).tobytes(), key
+        assert np.float64(got.threshold).tobytes() == np.float64(test.threshold).tobytes(), key
+        assert got.passed == test.passed, key
+    assert result.residual_max == residual_max
+    assert result.residual_cutoff == cutoff
+    assert result.k2 == k2
+
+
 @pytest.mark.parametrize("sampling", sorted(SAMPLINGS))
-@pytest.mark.parametrize("name", sorted(WITNESSES))
+@pytest.mark.parametrize("name", sorted(WITNESSES) + sorted(FAMILIES))
 class TestBitwiseAgainstReference:
     def test_b_sup(self, name, sampling):
         bundle = witness(name, sampling)
@@ -248,35 +296,43 @@ class TestBitwiseAgainstReference:
         assert_same_bits(table, ref_table(bundle, "EF"))
 
     def test_classify_evidence(self, name, sampling):
+        check_classify_evidence(witness(name, sampling))
+
+    @pytest.mark.parametrize("block", ["one_row", "ragged"])
+    def test_classify_evidence_in_blocks(self, name, sampling, block, monkeypatch):
+        # one base row per block, or three rows and a shorter last block
         bundle = witness(name, sampling)
-        result = reversibility.classify(bundle)
-        verdict, evidence, residual_max, cutoff, k2, _ = ref_classify(bundle)
-        assert result.verdict is verdict
-        assert list(result.evidence) == list(evidence)
-        for key, test in evidence.items():
-            got = result.evidence[key]
-            assert np.float64(got.max_abs).tobytes() == np.float64(test.max_abs).tobytes(), key
-            assert np.float64(got.threshold).tobytes() == np.float64(test.threshold).tobytes(), key
-            assert got.passed == test.passed, key
-        assert result.residual_max == residual_max
-        assert result.residual_cutoff == cutoff
-        assert result.k2 == k2
+        values = 1 if block == "one_row" else 3 * bundle.sampling.n_t + 1
+        monkeypatch.setattr(reversibility, "_BLOCK_VALUES", values)
+        check_classify_evidence(bundle)
 
     def test_classify_evidence_arrays(self, name, sampling, monkeypatch):
-        seen = []
-        original = reversibility._zero_test
+        seen, blocks = [], []
+        original_zero_test = reversibility._zero_test
+        original_fiber_evidence = reversibility._fiber_evidence
 
         def recording_zero_test(values, eps_zero):
             seen.append(values)
-            return original(values, eps_zero)
+            return original_zero_test(values, eps_zero)
+
+        def recording_fiber_evidence(pd, phi, x1, x2, t):
+            values = original_fiber_evidence(pd, phi, x1, x2, t)
+            blocks.append(values)
+            return values
 
         monkeypatch.setattr(reversibility, "_zero_test", recording_zero_test)
+        monkeypatch.setattr(reversibility, "_fiber_evidence", recording_fiber_evidence)
         bundle = witness(name, sampling)
         reversibility.classify(bundle)
         expected = ref_classify(bundle)[-1]
         assert len(seen) == len(expected)
-        for got, want in zip(seen, expected.values()):
+        # M2, M and the residual reach their zero tests as peaks over blocks of base rows
+        blocked = dict(zip(("M2", "M", "residual"), map(np.concatenate, zip(*blocks))))
+        for (key, want), got in zip(expected.items(), seen):
             want = np.asarray(want, dtype=float)
+            if key in blocked:
+                assert got == np.max(np.abs(blocked[key])), key
+                got = blocked[key]
             assert_same_bits(np.broadcast_to(got, want.shape), want)
 
 VALIDATE_CONFIG = """
@@ -326,7 +382,7 @@ def test_validate_csv_bytes(tmp_path, capsys, phi_lines, nan_rows):
 @pytest.fixture()
 def counts(monkeypatch):
     """Count point_data calls (through both module bindings) and field evaluations."""
-    found = SimpleNamespace(point_data=0, profile_evals=0, evals=0)
+    found = SimpleNamespace(point_data=0, profile_evals=0, evals=0, profile_points=[])
     original_pd = reversibility.point_data
     original_eval = ScalarField.eval
 
@@ -338,6 +394,7 @@ def counts(monkeypatch):
         found.evals += 1
         if self.variables == ("s",):
             found.profile_evals += 1
+            found.profile_points.append((self, np.ravel(point["s"])))
         return original_eval(self, point)
 
     monkeypatch.setattr(reversibility, "point_data", counting_point_data)
@@ -369,10 +426,44 @@ def test_classify_doubled_evaluates_point_data_once(validated, counts):
 
 def test_classify_evaluates_each_profile_value_once(validated, counts):
     reversibility.classify(validated)
+    assert counts.evals - counts.profile_evals == POINT_DATA_EVALS
     # one ladder over the s grid, one at beta shared by the residual and
-    # the frame partials, and the odd part of the even/odd split
-    assert counts.profile_evals == 2 * LADDER_EVALS + 1
-    assert counts.evals == POINT_DATA_EVALS + 2 * LADDER_EVALS + 1
+    # the frame partials, and the odd part of the even/odd split; the beta
+    # ladder runs over blocks of base rows, so count evaluated values
+    sampling, phi = validated.sampling, validated.phi
+    b_sup = validated.validate().b_sup
+    s = np.linspace(-b_sup, b_sup, sampling.n_s)
+    X1, X2, t = ref_grid(validated, sampling)
+    pd = point_data(validated.form, validated.metric, X1, X2)
+    beta = np.ravel(pd.e_mnu * (pd.b1 * np.cos(t) + pd.b2 * np.sin(t)))
+
+    def bits(points):  # the multiset of bit patterns, which tells -0.0 from 0.0
+        return np.sort(np.concatenate(points).view(np.int64))
+
+    ladder_points = bits([s, -s, beta, -beta])
+    evaluated = {id(f): [] for f in (phi.phi, phi.d1, phi.d2)}
+    for field, points in counts.profile_points:
+        evaluated[id(field)].append(points)
+    odd_part = evaluated[id(phi.phi)].pop()  # the split evaluates phi last, at 2 n_s points
+    assert odd_part.size == 2 * sampling.n_s
+    for points in evaluated.values():
+        np.testing.assert_array_equal(bits(points), ladder_points)
+    assert sum(points.size for _, points in counts.profile_points) == (
+        LADDER_EVALS * (sampling.n_s + beta.size) + 2 * sampling.n_s
+    )
+
+
+def test_classify_memory_is_bounded(validated):
+    # the fiber part runs in blocks of 2^13 values: no full 42 x 42 x 128 grid
+    bundle = doubled(validated)
+    bundle.validate()
+    tracemalloc.start()
+    try:
+        reversibility.classify(bundle)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_residual_evaluates_one_ladder(validated, counts):
