@@ -20,8 +20,6 @@ from .metric import (
 from .reversibility import (
     InconsistentEvidenceError,
     Verdict,
-    calE,
-    calF,
     classify,
     residual,
 )
@@ -29,12 +27,8 @@ from .frames import crosscheck
 from .geodesics import (
     GeodesicPath,
     SingularHessianError,
-    finsler_norm,
-    integrate,
     path_distance,
-    reversibility_error,
     reversibility_scan,
-    spray,
 )
 from .config import ConfigError
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import re
 import sys
 
@@ -25,15 +26,7 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, load_config
 from .frames import crosscheck
-from .geodesics import (
-    SPEED_DECADES,
-    PathTooLongError,
-    SingularHessianError,
-    backward_duration,
-    integrate,
-    path_distance,
-    path_prefix,
-)
+from .geodesics import SPEED_DECADES, PathTooLongError, SingularHessianError, _probe
 from .metric import FinslerValidationError, MetricBundle, _ec1_margin, _triangular_grid, sample_grid
 from .reversibility import InconsistentEvidenceError, _ladder, classify, residual
 from .scalarfield import EvalDomainError
@@ -189,8 +182,9 @@ def _parse_pair(text: str, label: str) -> tuple[float, float]:
 
 
 def _rev_path_name(path: str) -> str:
-    stem, dot, ext = path.rpartition(".")
-    return f"{stem}_rev.{ext}" if dot else f"{path}_rev"
+    """``path`` with "_rev" before the file name's extension: g.csv -> g_rev.csv."""
+    stem, ext = os.path.splitext(path)
+    return f"{stem}_rev{ext}"
 
 
 def cmd_geodesic(args, bundle: MetricBundle, cfg: ExperimentConfig) -> int:
@@ -217,18 +211,7 @@ def cmd_geodesic(args, bundle: MetricBundle, cfg: ExperimentConfig) -> int:
         if not 0.0 < value < math.inf:
             raise ConfigError(f"{label} must be a positive finite number, got {value}")
 
-    forward = integrate(bundle, x0, y0, T, h)
-    # One backward run serves both paths: the one the error is measured on,
-    # of duration t_back, and the _rev path, which runs for the forward
-    # path's covered duration.
-    t_back = backward_duration(bundle, forward)
-    t_rev = max(forward.duration, h)
-    relaunched = integrate(
-        bundle, forward.samples[-1], -forward.velocities[-1], max(t_back, t_rev), h
-    )
-    error = path_distance(forward, path_prefix(relaunched, t_back))
-    backward = path_prefix(relaunched, t_rev)
-
+    ((forward, backward, error),) = _probe(bundle, x0, [y0], T, h)
     for path, run in ((args.out, forward), (_rev_path_name(args.out), backward)):
         steps = np.arange(len(run.samples), dtype=float)
         write_csv(path, ["step", "x1", "x2"], np.column_stack((steps, run.samples)))

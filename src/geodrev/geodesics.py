@@ -4,10 +4,10 @@ The spray coefficients G1, G2 come from nested central differences of the
 energy F^2, never from the symbolic pipeline, so trajectory-level checks
 are independent of the closed-form machinery they confirm.  One engine
 integrates every path: fixed-step RK4 that advances a batch of rows in
-lockstep, a single path being a batch of one.  Reversibility of a
-configuration is probed by running a geodesic forward, relaunching it
-backward from the endpoint and measuring the unparametrized distance
-between the two paths.
+lockstep, a single path being a batch of one.  One probe tests
+reversibility, for the direction fan and for the ``geodesic`` command
+alike: it runs a geodesic forward, relaunches it backward from the
+endpoint and measures the unparametrized distance between the two paths.
 """
 
 from __future__ import annotations
@@ -94,13 +94,6 @@ def _norm_batch(bundle: MetricBundle, x1, x2, y1, y2):
         return _norm_walk(bundle, x1, x2, y1, y2)
 
 
-def finsler_norm(bundle: MetricBundle, x, y) -> float:
-    """F(x, y) for a single base point and nonzero tangent vector."""
-    if y[0] == 0.0 and y[1] == 0.0:
-        raise ValueError("tangent vector must be nonzero")
-    return float(_norm_batch(bundle, float(x[0]), float(x[1]), float(y[0]), float(y[1])))
-
-
 # ---------------------------------------------------------------------------
 # Spray coefficients by nested central differences of F^2
 
@@ -185,12 +178,6 @@ def _rates(bundle: MetricBundle, states: np.ndarray) -> np.ndarray:
     return np.array(rates)
 
 
-def spray(bundle: MetricBundle, x, y):
-    """Coefficients (G1, G2) of the geodesic equation x'' = -2 G(x, x'), at one point."""
-    _, _, a1, a2 = _rates(bundle, np.array([[x[0], x[1], y[0], y[1]]], dtype=float))[0].tolist()
-    return -0.5 * a1, -0.5 * a2
-
-
 # ---------------------------------------------------------------------------
 # Fixed-step 4th order integration
 
@@ -260,18 +247,14 @@ def _rk4_batch(rate, domain, x0s, y0s, Ts, h: float) -> list[GeodesicPath]:
 
 
 def _integrate_batch(bundle: MetricBundle, x0s, y0s, Ts, h: float) -> list[GeodesicPath]:
-    """``integrate`` for every (x0, y0, T), advanced as one lockstep batch."""
+    """Runs of x'' = -2 G(x, x') from every (x0, y0) for its duration T with
+    fixed step h, advanced as one lockstep batch."""
     return _rk4_batch(lambda z: _rates(bundle, z), bundle.metric.domain, x0s, y0s, Ts, h)
 
 
-def integrate(bundle: MetricBundle, x0, y0, T: float, h: float) -> GeodesicPath:
-    """Integrate x'' = -2 G(x, x') from (x0, y0) for duration T with fixed step h."""
-    return _integrate_batch(bundle, [x0], [y0], [T], h)[0]
-
-
 def path_prefix(path: GeodesicPath, T: float) -> GeodesicPath:
-    """The path ``integrate`` returns for duration T, cut from a run from the
-    same start that is at least that long.
+    """The run of duration T, cut from a run from the same start that is at
+    least that long.
 
     Fixed-step RK4 visits the same states whatever the duration, so the
     prefix is bitwise equal to the shorter run.  It is truncated only when
@@ -495,45 +478,53 @@ def _reverse_arc_length(bundle: MetricBundle, path: GeodesicPath) -> float:
     return float(np.sum(values))
 
 
-def backward_duration(bundle: MetricBundle, forward: GeodesicPath) -> float:
-    """Duration of the backward relaunch of a forward path.
+def _backward_duration(bundle: MetricBundle, forward: GeodesicPath) -> float:
+    """Duration of the relaunch that the error is measured on.
 
     It is the forward path's length under the reverse norm F(x, -y) over
     the relaunch speed, and at least one step.
     """
-    back_speed = finsler_norm(bundle, forward.samples[-1], -forward.velocities[-1])
-    t_back = _reverse_arc_length(bundle, forward) / back_speed
-    return max(t_back, forward.h)
+    (x1, x2), (y1, y2) = forward.samples[-1].tolist(), (-forward.velocities[-1]).tolist()
+    back_speed = float(_norm_batch(bundle, x1, x2, y1, y2))
+    return max(_reverse_arc_length(bundle, forward) / back_speed, forward.h)
 
 
-def _probe(bundle: MetricBundle, x0, y0s, T: float, h: float) -> list[float]:
-    """``reversibility_error`` from x0 along each of y0s: all forward runs
-    advance as one lockstep batch, then all backward runs."""
+def _probe(
+    bundle: MetricBundle, x0, y0s, T: float, h: float
+) -> list[tuple[GeodesicPath, GeodesicPath, float]]:
+    """(forward path, _rev path, error) of the reversibility probe from x0
+    along each of y0s.
+
+    The forward runs advance as one lockstep batch.  Each relaunch starts
+    at (x_T, -y_T) and runs, again as one batch, for the longer of two
+    durations, from which ``path_prefix`` cuts two paths:
+    - the one the error is measured on, of ``_backward_duration``: a
+      reversible structure retraces the forward path's points, and the
+      error is the unparametrized distance between the two;
+    - the _rev path, of the forward path's covered duration.
+    """
     forwards = _integrate_batch(bundle, [x0] * len(y0s), y0s, [T] * len(y0s), h)
-    backwards = _integrate_batch(
+    t_backs = [_backward_duration(bundle, path) for path in forwards]
+    t_revs = [max(path.duration, h) for path in forwards]
+    relaunches = _integrate_batch(
         bundle,
         [path.samples[-1] for path in forwards],
         [-path.velocities[-1] for path in forwards],
-        [backward_duration(bundle, path) for path in forwards],
+        [max(t_back, t_rev) for t_back, t_rev in zip(t_backs, t_revs)],
         h,
     )
-    return ordered_map(lambda pair: path_distance(*pair), zip(forwards, backwards))
-
-
-def reversibility_error(bundle: MetricBundle, x0, y0, T: float, h: float) -> float:
-    """Unparametrized distance between a geodesic and its reverse relaunch.
-
-    The forward run ends at (x_T, y_T); the probe restarts at (x_T, -y_T)
-    for the duration that the reverse norm assigns to the forward path, so
-    a reversible structure retraces the same set of points.
-    """
-    return _probe(bundle, x0, [y0], T, h)[0]
+    backwards = [path_prefix(run, t_back) for run, t_back in zip(relaunches, t_backs)]
+    errors = ordered_map(lambda pair: path_distance(*pair), zip(forwards, backwards))
+    return [
+        (forward, path_prefix(run, t_rev), error)
+        for forward, run, t_rev, error in zip(forwards, relaunches, t_revs, errors)
+    ]
 
 
 def reversibility_scan(
     bundle: MetricBundle, x0, T: float, h: float, n_directions: int
 ) -> list[tuple[tuple[float, float], float]]:
-    """``reversibility_error`` along unit directions fanned around the base point."""
+    """The probe's error along unit directions fanned around the base point."""
     angles = 2.0 * np.pi * np.arange(n_directions) / n_directions + 0.137
     y0s = [(float(np.cos(angle)), float(np.sin(angle))) for angle in angles]
-    return list(zip(y0s, _probe(bundle, x0, y0s, T, h)))
+    return [(y0, error) for y0, (_, _, error) in zip(y0s, _probe(bundle, x0, y0s, T, h))]

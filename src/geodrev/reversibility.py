@@ -78,16 +78,6 @@ def _ladder(phi: PhiFunction, s) -> _Ladder:
     return _Ladder(s, pp, pm, d1p, d1m, d2p, d2m, d1p * d2m + d1m * d2p)
 
 
-def calE(phi: PhiFunction, s):
-    """Odd obstruction E(s); zero exactly for profiles of the form even + c*s."""
-    return _ladder(phi, s).E()
-
-
-def calF(phi: PhiFunction, s, b):
-    """Even companion F(s, b); zero exactly for even profiles."""
-    return _ladder(phi, s).F(b)
-
-
 # ---------------------------------------------------------------------------
 # Base-point data shared with the frames module
 

@@ -14,9 +14,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from geodrev.geodesics import GeodesicPath, _rk4_batch
+from geodrev.geodesics import GeodesicPath, _integrate_batch, _norm_batch, _probe, _rates, _rk4_batch
 from geodrev.metric import PHI_VAR, IsothermalMetric, LinearForm, MetricBundle, PhiFunction, _beta_pair
-from geodrev.reversibility import point_data
+from geodrev.reversibility import _ladder, point_data
 from geodrev.scalarfield import (
     _BINARY,
     Binary,
@@ -172,6 +172,41 @@ def riemann_geodesic(metric: IsothermalMetric, x0, y0, T: float, h: float) -> Ge
         return np.column_stack((y1, y2, a1, a2))
 
     return _rk4_batch(rate, metric.domain, [x0], [y0], [T], h)[0]
+
+
+# ---------------------------------------------------------------------------
+# Single-point views of the product's engine
+
+
+def calE(phi: PhiFunction, s):
+    """Odd obstruction E(s); zero exactly for profiles of the form even + c*s."""
+    return _ladder(phi, s).E()
+
+
+def calF(phi: PhiFunction, s, b):
+    """Even companion F(s, b); zero exactly for even profiles."""
+    return _ladder(phi, s).F(b)
+
+
+def finsler_norm(bundle: MetricBundle, x, y) -> float:
+    """F(x, y) at one base point and tangent vector."""
+    return float(_norm_batch(bundle, float(x[0]), float(x[1]), float(y[0]), float(y[1])))
+
+
+def spray(bundle: MetricBundle, x, y):
+    """(G1, G2) of x'' = -2 G(x, x') at one point: one row of the flow."""
+    _, _, a1, a2 = _rates(bundle, np.array([[x[0], x[1], y[0], y[1]]], dtype=float))[0].tolist()
+    return -0.5 * a1, -0.5 * a2
+
+
+def integrate(bundle: MetricBundle, x0, y0, T: float, h: float) -> GeodesicPath:
+    """One geodesic run: a lockstep batch of one."""
+    return _integrate_batch(bundle, [x0], [y0], [T], h)[0]
+
+
+def reversibility_error(bundle: MetricBundle, x0, y0, T: float, h: float) -> float:
+    """The probe's error along one direction, as the geodesic command runs it."""
+    return _probe(bundle, x0, [y0], T, h)[0][2]
 
 
 # ---------------------------------------------------------------------------

@@ -15,25 +15,25 @@ from geodrev import (
     IsothermalMetric,
     Rectangle,
     Verdict,
-    calE,
-    calF,
     classify,
     crosscheck,
-    integrate,
     reversibility_scan,
-    spray,
 )
 from geodrev.scalarfield import ScalarField
 
 from conftest import CORPUS_PROFILES, EVEN_PLUS_LINEAR, doubled, random_points
 from oracles import (
     beta_on_indicatrix,
+    calE,
+    calF,
     fd_check,
     frame_fd_derivs,
     gauss_curvature,
     integrability_obstruction,
+    integrate,
     ref_directional_derivs,
     riemann_geodesic,
+    spray,
     structure_residuals,
 )
 

@@ -16,16 +16,16 @@ import geodrev
 from geodrev import (
     LinearForm,
     PhiFunction,
-    calE,
-    calF,
-    integrate,
-    reversibility_error,
+    path_distance,
 )
 from geodrev import cli, config, reversibility
 from geodrev.cli import main
 from geodrev.config import ConfigError, ExperimentConfig, load_config, parse_config
+from geodrev.geodesics import _norm_batch
 from geodrev.metric import PHI_TEXTS
 from geodrev.scalarfield import MAX_DEPTH, ScalarField, parse_expr
+
+from oracles import calE, calF, finsler_norm, integrate
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -486,6 +486,26 @@ class TestGeodesicCommand:
         cross = rows[:, 1] * 0.5 - rows[:, 2] * 1.0
         assert float(np.max(np.abs(cross))) <= 1e-8
 
+    @pytest.mark.parametrize(
+        "out, rev",
+        [("./gplain", "gplain_rev"), ("run.d/path", "run.d/path_rev")],
+        ids=["no_extension", "dotted_directory"],
+    )
+    def test_rev_path_takes_the_file_names_extension(self, tmp_path, monkeypatch, capsys, out, rev):
+        (tmp_path / "run.d").mkdir()
+        (tmp_path / "run_rev.d").mkdir()
+        cfg = write(tmp_path, CLASS_B_CONFIG)
+        monkeypatch.chdir(tmp_path)
+        code = main(["geodesic", cfg, "--x0", "0,0", "--y0", "0.5,0", "--T", "0.01", "--out", out])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        forward = (tmp_path / out).read_text().splitlines()
+        backward = (tmp_path / rev).read_text().splitlines()
+        assert len(forward) == len(backward) == 12
+        # the _rev path starts where the forward path ends
+        assert backward[1].split(",")[1:] == forward[-1].split(",")[1:]
+        assert list((tmp_path / "run_rev.d").iterdir()) == []
+
     def test_truncation_exit_code(self, tmp_path, capsys):
         tiny = CLASS_B_CONFIG.replace("-1.0", "-0.05").replace("1.0", "0.05")
         cfg = write(tmp_path, tiny, "tiny.cfg")
@@ -571,17 +591,23 @@ def _csv_bytes(path) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def four_integration_recipe(config_text, x0, y0, T, h):
+def separate_runs_recipe(config_text, x0, y0, T, h):
     """CSV bytes, printed line and exit code of the geodesic command, rebuilt
-    from a forward run, a _rev run of the forward duration and a separate
-    reversibility_error (which integrates forward and backward again)."""
+    from separate runs: forward, the _rev run for the forward path's covered
+    duration, and the relaunch that the error is measured on, which lasts
+    the forward path's reverse-norm length over the relaunch speed."""
     bundle = parse_config(config_text).build_bundle()
     forward = integrate(bundle, x0, y0, T, h)
-    x_end, v_end = forward.samples[-1], forward.velocities[-1]
-    backward = integrate(
-        bundle, tuple(x_end), (-v_end[0], -v_end[1]), max(forward.duration, h), h
-    )
-    error = reversibility_error(bundle, x0, y0, T, h)
+    x_end, v_end = tuple(forward.samples[-1]), tuple(-forward.velocities[-1])
+    backward = integrate(bundle, x_end, v_end, max(forward.duration, h), h)
+
+    deltas = np.diff(forward.samples, axis=0)
+    mids = 0.5 * (forward.samples[:-1] + forward.samples[1:])
+    moved = np.any(deltas != 0.0, axis=1)
+    lengths = _norm_batch(bundle, mids[moved, 0], mids[moved, 1], -deltas[moved, 0], -deltas[moved, 1])
+    t_back = max(float(np.sum(lengths)) / finsler_norm(bundle, x_end, v_end), h)
+    error = path_distance(forward, integrate(bundle, x_end, v_end, t_back, h))
+
     code = 3 if forward.truncated or backward.truncated else 0
     return _csv_bytes(forward), _csv_bytes(backward), f"reversibility_error = {error:.12g}\n", code
 
@@ -596,7 +622,7 @@ class TestGeodesicRecipe:
         ],
         ids=["class_a_long_backward", "class_a_short_backward", "irreversible_truncated"],
     )
-    def test_output_equals_four_integration_recipe(self, tmp_path, capsys, config, x0, angle, T):
+    def test_output_equals_separate_runs(self, tmp_path, capsys, config, x0, angle, T):
         y0 = (math.cos(angle), math.sin(angle))
         h = 1e-3
         out_csv = tmp_path / "path.csv"
@@ -606,7 +632,7 @@ class TestGeodesicRecipe:
                 f"--y0={y0[0]!r},{y0[1]!r}", "--T", repr(T), "--h", repr(h), "--out", str(out_csv),
             ]
         )
-        forward, backward, printed, expected_code = four_integration_recipe(config, x0, y0, T, h)
+        forward, backward, printed, expected_code = separate_runs_recipe(config, x0, y0, T, h)
         assert code == expected_code
         assert capsys.readouterr().out == printed
         assert out_csv.read_bytes() == forward

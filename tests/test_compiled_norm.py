@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geodrev import IsothermalMetric, LinearForm, MetricBundle, PhiFunction, Rectangle, cli
-from geodrev.geodesics import _STENCIL, _norm_batch, _norm_walk, _oracle, integrate
+from geodrev.geodesics import _STENCIL, _integrate_batch, _norm_batch, _norm_walk, _oracle
 from geodrev.metric import BASE_VARS, PHI_VAR
 from geodrev.reversibility import classify
 from geodrev.scalarfield import (
@@ -100,7 +100,7 @@ def test_compiled_norm_equals_the_walk(nu, b1, b2, phi, rows):
     bundle = _bundle(nu, b1, b2, phi)
     columns = _stencil_columns(rows)
     _assert_program_matches_walk(bundle, columns)
-    # Python floats, as finsler_norm passes them
+    # Python floats, as the probe passes the relaunch's start
     _assert_program_matches_walk(bundle, tuple(float(c[0]) for c in columns))
 
 
@@ -178,8 +178,8 @@ def test_the_program_is_built_once_per_bundle_and_only_by_geodesics():
     classify(bundle)
     cli._scan_rows(bundle, "residual")
     assert bundle._oracle is None
-    integrate(bundle, (0.0, 0.0), (0.5, 0.0), 0.01, 1e-3)
+    _integrate_batch(bundle, [(0.0, 0.0)], [(0.5, 0.0)], [0.01], 1e-3)
     oracle = bundle._oracle
     assert oracle is not None and oracle.hx == 2e-5
-    integrate(bundle, (0.0, 0.0), (0.5, 0.0), 0.01, 1e-3)
+    _integrate_batch(bundle, [(0.0, 0.0)], [(0.5, 0.0)], [0.01], 1e-3)
     assert bundle._oracle is oracle

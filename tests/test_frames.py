@@ -9,8 +9,6 @@ from geodrev import (
     MetricBundle,
     PhiFunction,
     Rectangle,
-    calE,
-    calF,
     crosscheck,
     residual,
 )
@@ -21,6 +19,8 @@ from oracles import (
     ConvexityError,
     alpha_coframe,
     beta_on_indicatrix,
+    calE,
+    calF,
     dual_frame,
     frame_fd_derivs,
     omega_coframe,

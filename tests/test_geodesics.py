@@ -18,16 +18,19 @@ from geodrev import (
     PhiFunction,
     Rectangle,
     SingularHessianError,
-    finsler_norm,
-    integrate,
     path_distance,
-    reversibility_error,
     reversibility_scan,
-    spray,
 )
 from geodrev import geodesics
 from geodrev.geodesics import _integrate_batch, _points_to_polyline, _rates, path_prefix
-from oracles import ref_points_to_polyline, riemann_geodesic
+from oracles import (
+    finsler_norm,
+    integrate,
+    ref_points_to_polyline,
+    reversibility_error,
+    riemann_geodesic,
+    spray,
+)
 
 SPHERE_NU = "-ln(1 + (x1^2 + x2^2)/4)"
 
@@ -292,6 +295,7 @@ class TestBatchedEngine:
     def test_scan_equals_per_direction_errors(self, witness, T, request):
         bundle = request.getfixturevalue(f"{witness}_bundle")
         scan = reversibility_scan(bundle, (0.0, 0.0), T, 1e-3, 8)
+        # single-row probes, the batch of one that the geodesic command runs
         reference = [
             reversibility_error(bundle, (0.0, 0.0), y0, T, 1e-3) for y0, _ in scan
         ]

@@ -12,8 +12,6 @@ from geodrev import (
     PhiFunction,
     Rectangle,
     Verdict,
-    calE,
-    calF,
     classify,
     even_odd_decompose,
     residual,
@@ -22,6 +20,8 @@ from geodrev.reversibility import _ladder, _zero_test, point_data
 
 from conftest import CORPUS_PROFILES, EVEN_PLUS_LINEAR, doubled
 from oracles import (
+    calE,
+    calF,
     curl21,
     gauss_curvature,
     integrability_obstruction,
