@@ -37,56 +37,108 @@ EXIT_VALIDATION = 2
 EXIT_TRUNCATED = 3
 
 
-# Rows formatted per string operation; bounds the size of each written chunk.
+# Rows per written block; bounds the size of the strings each block builds.
 CSV_BLOCK_ROWS = 4096
 
 
-def _block_text(block: np.ndarray) -> str:
-    """The lines of a (rows, columns) block, every value as %.17g.
+def _texts(keys: np.ndarray):
+    """The strings of a column of 64-bit patterns as %.17g, or None if no
+    value repeats.
 
-    A column that repeats a value, as a scan's grid coordinates do, formats
-    each distinct value once and its lines take the strings by %s.  Values
-    are keyed by their 64-bit pattern, so 0.0 and -0.0, and nans of
-    different sign or payload, keep their own text.  A column without
-    repeats, as a geodesic's are, is formatted in the line itself.
+    Each distinct value is formatted once.  Values are keyed by their 64-bit
+    pattern, so 0.0 and -0.0, and nans of different sign or payload, keep
+    their own text.
     """
-    n, width = block.shape
-    texts = []  # per column: its strings in row order, or None if no value repeats
-    for c in range(width):
-        keys = block[:, c].view(np.int64)
-        ranked = np.sort(keys)
-        first = np.concatenate(([True], ranked[1:] != ranked[:-1]))
-        if first.all():
-            texts.append(None)
-            continue
-        distinct = ranked[first]
-        text = ("\n".join(["%.17g"] * len(distinct)) % tuple(distinct.view(float).tolist())).split("\n")
-        texts.append(np.array(text, dtype=object)[np.searchsorted(distinct, keys)])
-    line = ",".join("%.17g" if text is None else "%s" for text in texts) + "\n"
+    ranked = np.sort(keys)
+    first = np.concatenate(([True], ranked[1:] != ranked[:-1]))
+    if first.all():
+        return None
+    distinct = ranked[first]
+    text = ("\n".join(["%.17g"] * len(distinct)) % tuple(distinct.view(float).tolist())).split("\n")
+    return np.array(text, dtype=object)[np.searchsorted(distinct, keys)]
+
+
+def _args(table: np.ndarray, texts: list) -> tuple:
+    """The % arguments of a (rows, columns) table in row order: a column's
+    strings, or its floats where ``texts`` holds None."""
     if all(text is None for text in texts):
         # Python floats made in row order, which the formatting pass reads
         # faster than floats made column by column.
-        return line * n % tuple(block.ravel().tolist())
-    args = np.empty((n, width), dtype=object)
+        return tuple(table.ravel().tolist())
+    args = np.empty(table.shape, dtype=object)
     for c, text in enumerate(texts):
-        args[:, c] = block[:, c] if text is None else text
-    return line * n % tuple(args.ravel().tolist())
+        args[:, c] = table[:, c] if text is None else text
+    return tuple(args.ravel().tolist())
+
+
+def _spec(text) -> str:
+    return "%.17g" if text is None else "%s"
+
+
+def _grid_text(grid: np.ndarray) -> str:
+    """The lines of a (base points, angles, columns) block, every value as %.17g.
+
+    Each column is classified from its 64-bit patterns.  A column with the
+    same sequence in every base point, as t or a constant has, is baked into
+    one template of a base point's lines.  The first run of adjacent columns
+    that are constant within every base point, as x1 and x2 are, is one
+    placeholder in the template, filled once per base point.  The remaining
+    columns are inserted row by row in one % pass over the block.  A block of
+    one base point bakes every column.
+    """
+    nb, nt, width = grid.shape
+    keys = grid.view(np.int64).transpose(2, 0, 1).copy()  # column, base point, angle
+    same = (keys == keys[:, :1]).reshape(width, -1).all(axis=1)
+    flat = (keys == keys[:, :, :1]).reshape(width, -1).all(axis=1)
+    line, baked, baked_texts, prefix, inserted, inserted_texts = [], [], [], [], [], []
+    for c in range(width):
+        if same[c]:
+            baked.append(c)
+            baked_texts.append(_texts(keys[c, 0]))
+            line.append(_spec(baked_texts[-1]))
+        elif flat[c] and (not prefix or prefix[-1] == c - 1):
+            if not prefix:
+                line.append("\0")
+            prefix.append(c)
+        else:
+            inserted.append(c)
+            inserted_texts.append(_texts(keys[c].ravel()))
+            line.append("%" + _spec(inserted_texts[-1]))
+    template = (",".join(line) + "\n") * nt % _args(grid[0][:, baked], baked_texts)
+    if prefix:
+        texts = [_texts(keys[c, :, 0]) for c in prefix]
+        pattern = ",".join(map(_spec, texts))
+        subs = ("\n".join([pattern] * nb) % _args(grid[:, 0, prefix], texts)).split("\n")
+        pieces = template.split("\0")
+        body = "".join([sub.join(pieces) for sub in subs])
+    else:
+        body = template * nb
+    if inserted:
+        body %= _args(grid[:, :, inserted].reshape(-1, len(inserted)), inserted_texts)
+    return body
 
 
 def write_csv(path: str, header: list[str], rows: np.ndarray) -> None:
     """Write a header line, then one line per row, every value as %.17g.
 
-    ``rows`` is a (rows, len(header)) array, written CSV_BLOCK_ROWS rows at
-    a time.
+    ``rows`` is a (rows, len(header)) table, or a grid scan's (base points,
+    angles, len(header)) table, whose lines run over base points and, within
+    each, over its angles.  A block holds the whole base points that fit in
+    CSV_BLOCK_ROWS rows, or up to CSV_BLOCK_ROWS rows of a single one; a 2-D
+    table is a single base point.
     """
     width = len(header)
     rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != width:
+    if rows.ndim not in (2, 3) or rows.shape[-1] != width:
         raise ValueError(f"rows of {width} values expected, got an array of shape {rows.shape}")
+    grid = rows if rows.ndim == 3 else rows[None]
+    n_t = grid.shape[1]
+    step = max(1, CSV_BLOCK_ROWS // max(n_t, 1))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
-        for i in range(0, len(rows), CSV_BLOCK_ROWS):
-            handle.write(_block_text(rows[i : i + CSV_BLOCK_ROWS]))
+        for i in range(0, len(grid), step):
+            for j in range(0, n_t, CSV_BLOCK_ROWS):
+                handle.write(_grid_text(grid[i : i + step, j : j + CSV_BLOCK_ROWS]))
 
 
 def cmd_validate(args, bundle: MetricBundle, cfg: ExperimentConfig) -> int:
@@ -164,6 +216,9 @@ def _scan_rows(bundle: MetricBundle, what: str) -> tuple[list[str], np.ndarray]:
 def cmd_scan(args, bundle: MetricBundle, cfg: ExperimentConfig) -> int:
     bundle.require_valid()
     header, rows = _scan_rows(bundle, args.what)
+    if args.what in ("residual", "crosscheck"):
+        # base points x angles, a view of the same rows
+        rows = rows.reshape(-1, bundle.sampling.n_t, len(header))
     write_csv(args.out, header, rows)
     return EXIT_OK
 

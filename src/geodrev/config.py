@@ -186,6 +186,10 @@ def load_config(path: str) -> ExperimentConfig:
             text = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"cannot read config: {path!r} is not UTF-8 at byte offset {exc.start}: {exc.reason}"
+        ) from None
     return parse_config(text)
 
 

@@ -133,7 +133,7 @@ def _rates(bundle: MetricBundle, states: np.ndarray) -> np.ndarray:
     for row, speed in enumerate(speeds):
         if speed < low or speed > high:
             x1, x2, y1, y2 = states[row].tolist()
-            raise ValueError(
+            raise EvalDomainError(
                 f"tangent vector length {speed} outside [1e-{SPEED_DECADES}, 1e{SPEED_DECADES}]"
                 f" at x=({x1}, {x2}), y=({y1}, {y2})"
             )

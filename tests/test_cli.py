@@ -658,6 +658,41 @@ class TestErrorExitCodes:
         assert code == 1
         assert err.startswith("config error: ln of non-positive value at x1=")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate"],
+            ["classify"],
+            ["scan", "--what", "residual", "--out", "r.csv"],
+            ["geodesic", "--x0", "0,0", "--y0", "1,0", "--out", "g.csv"],
+        ],
+    )
+    def test_config_that_is_not_utf8_is_config_error(self, tmp_path, capsys, argv):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(CLASS_B_CONFIG.encode().replace(b"[metric]", b"\xff[metric]"))
+        command, *options = argv
+        # in process, so that any exception other than the mapped ones fails the test
+        assert main([command, str(path), *options]) == 1
+        offset = CLASS_B_CONFIG.encode().index(b"[metric]")
+        assert capsys.readouterr().err == (
+            f"config error: cannot read config: {str(path)!r} is not UTF-8 at byte offset {offset}:"
+            " invalid start byte\n"
+        )
+
+    def test_start_speed_at_the_bound_is_config_error(self, tmp_path, capsys):
+        # --y0 of length 1e100 is accepted; an RK4 stage of the first step
+        # lands far outside the domain with a speed beyond the spray's range.
+        with open(README, encoding="utf-8") as handle:
+            example = handle.read().split("```ini\n", 1)[1].split("```", 1)[0]
+        out_csv = tmp_path / "g.csv"
+        argv = ["geodesic", write(tmp_path, example), "--x0", "0,0", "--y0", "1e100,0"]
+        assert main([*argv, "--out", str(out_csv)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: tangent vector length 6.2499989667539e+195 outside [1e-150, 1e150]"
+            " at x=(5e+96, 0.0), y=(-6.2499989667539e+195, 0.0)\n"
+        )
+        assert not out_csv.exists()
+
     def test_singular_hessian_is_validation_failure(self, tmp_path, capsys):
         cfg = write(tmp_path, PEAKED_B1_CONFIG)
         assert main(["validate", cfg]) == 0

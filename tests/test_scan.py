@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geodrev import IsothermalMetric, LinearForm, MetricBundle, PhiFunction, Rectangle
 from geodrev import cli
@@ -124,9 +126,12 @@ def csv_bytes(tmp_path, writer, header, rows, name):
 
 
 class TestWriteCsv:
-    def check(self, tmp_path, header, rows, table):
+    def check(self, tmp_path, header, rows, *tables):
+        """Each table, a 2-D table or a grid of base points x angles, writes
+        the reference bytes of ``rows``."""
         want = csv_bytes(tmp_path, reference_write_csv, header, rows, "want.csv")
-        assert csv_bytes(tmp_path, cli.write_csv, header, table, "table.csv") == want
+        for table in tables:
+            assert csv_bytes(tmp_path, cli.write_csv, header, table, "table.csv") == want
         return want
 
     def test_special_values(self, tmp_path):
@@ -162,6 +167,32 @@ class TestWriteCsv:
         with pytest.raises(ValueError):
             cli.write_csv(str(tmp_path / "bad.csv"), ["a", "b"], np.zeros((4, 3)))
 
+    @pytest.mark.parametrize("shape", [(2, 4, 3), (2, 4, 1), (4,), (2, 2, 2, 2)])
+    def test_grid_of_another_shape_is_rejected(self, tmp_path, shape):
+        with pytest.raises(ValueError, match=r"rows of 2 values expected"):
+            cli.write_csv(str(tmp_path / "bad.csv"), ["a", "b"], np.zeros(shape))
+        assert not (tmp_path / "bad.csv").exists()
+
+    @pytest.mark.parametrize("order", [[0, 1, 2, 3, 4], [0, 2, 1, 4, 3], [4, 0, 3, 1, 2]])
+    def test_grid_of_base_points(self, tmp_path, order):
+        # x1 and x2 constant within each base point, t the same in every
+        # one, a constant column and one that varies in every row, in
+        # orders that split x1 from x2; 1, 8 and more than a block of
+        # angles; base points that do not fill their last block.
+        header = [["x1", "x2", "t", "zero", "v"][c] for c in order]
+        for n_t in (1, 8, cli.CSV_BLOCK_ROWS + 5):
+            n_base = max(1, cli.CSV_BLOCK_ROWS // n_t) + 3
+            base = np.random.default_rng(n_t).normal(size=(n_base, 2))
+            t = np.linspace(0.0, 6.0, n_t, endpoint=False)
+            grid = np.empty((n_base, n_t, 5))
+            grid[:, :, :2] = base[:, None, :]
+            grid[:, :, 2] = t
+            grid[:, :, 3] = -0.0
+            grid[:, :, 4] = np.random.default_rng(1).normal(size=(n_base, n_t))
+            grid = grid[:, :, order]
+            rows = grid.reshape(-1, 5)
+            self.check(tmp_path, header, rows.tolist(), grid, rows)
+
     def test_signed_zeros_and_nans_in_one_repeating_column(self, tmp_path):
         # one block, a column with repeats: each 64-bit pattern is its own value
         nans = [float("nan"), -float("nan"), nan_with(0x7FF8000000000123), nan_with(0xFFF8000000000123)]
@@ -188,6 +219,77 @@ class TestWriteCsv:
     @pytest.mark.parametrize("what", ["residual", "crosscheck"])
     @pytest.mark.parametrize("name", sorted(WITNESSES))
     def test_witness_scans(self, tmp_path, name, what):
-        header, table = cli._scan_rows(WITNESSES[name](), what)
+        bundle = WITNESSES[name]()
+        header, table = cli._scan_rows(bundle, what)
         assert len(table) > cli.CSV_BLOCK_ROWS
-        self.check(tmp_path, header, table.tolist(), table)
+        grid = table.reshape(-1, bundle.sampling.n_t, len(header))
+        self.check(tmp_path, header, table.tolist(), table, grid)
+
+
+SPECIAL_BITS = [
+    0x0000000000000000,  # 0.0
+    0x8000000000000000,  # -0.0
+    0x7FF8000000000000,  # nan
+    0xFFF8000000000000,  # -nan
+    0x7FF8000000000123,  # nan with a payload
+    0xFFF8000000000123,  # -nan with a payload
+    0x7FF0000000000001,  # signalling nan
+    0x7FF0000000000000,  # inf
+    0xFFF0000000000000,  # -inf
+    0x0000000000000001,  # the smallest subnormal
+    0x800FFFFFFFFFFFFF,  # the largest negative subnormal
+]
+SPECIALS = [nan_with(bits) for bits in SPECIAL_BITS]
+VALUES = st.one_of(
+    st.sampled_from(SPECIALS),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-10.0, 10.0), st.integers(-300, 300)),
+)
+COLUMN_KINDS = ("constant", "sequence", "base", "few", "distinct")
+
+
+@st.composite
+def grids(draw):
+    """A (base points, angles, columns) grid whose columns are drawn as a
+    constant, a sequence shared by every base point (as t), a value per base
+    point (as x1), a few values or only distinct values; then, optionally, a
+    sequence that differs in one base point and a per-base-point value that
+    changes inside one."""
+    n_t = draw(st.sampled_from([1, 8, cli.CSV_BLOCK_ROWS + 3]))
+    per_block = max(1, cli.CSV_BLOCK_ROWS // n_t)
+    if n_t > cli.CSV_BLOCK_ROWS:
+        n_base = draw(st.sampled_from([1, 2, 3]))
+    else:
+        n_base = draw(st.sampled_from([1, 2, per_block - 1, per_block + 1, 2 * per_block + 5]))
+    kinds = draw(st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (n_base, n_t)
+    columns = []
+    for kind in kinds:
+        if kind == "constant":
+            column = np.full(shape, draw(VALUES))
+        elif kind == "sequence":
+            column = np.broadcast_to(rng.choice(SPECIALS + [0.1, -2.5], n_t), shape)
+        elif kind == "base":
+            column = np.broadcast_to(rng.choice(SPECIALS + [0.3, 1e300], n_base)[:, None], shape)
+        elif kind == "few":
+            column = rng.choice(draw(st.lists(VALUES, min_size=1, max_size=4)), shape)
+        else:
+            column = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 301, size=shape)
+        columns.append(np.array(column, dtype=float))
+    grid = np.stack(columns, axis=-1)
+    for kind in ("sequence", "base"):
+        if kind in kinds and draw(st.booleans()):
+            c = kinds.index(kind)
+            b, t = draw(st.integers(0, n_base - 1)), draw(st.integers(0, n_t - 1))
+            grid[b, t, c] = draw(VALUES)
+    return grid
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(grid=grids())
+def test_grid_bytes_equal_the_reference(tmp_path_factory, grid):
+    tmp_path = tmp_path_factory.mktemp("grid")
+    header = [f"c{i}" for i in range(grid.shape[-1])]
+    rows = grid.reshape(-1, grid.shape[-1])
+    want = csv_bytes(tmp_path, reference_write_csv, header, rows.tolist(), "want.csv")
+    assert csv_bytes(tmp_path, cli.write_csv, header, grid, "grid.csv") == want
