@@ -10,7 +10,8 @@ trajectory buffer (PathTooLongError);
 2 validation failure, including a fiber Hessian of F^2 that is not
 positive definite along a geodesic (SingularHessianError) and
 classification evidence that contradicts itself
-(InconsistentEvidenceError); 3 geodesic truncated at the domain boundary.
+(InconsistentEvidenceError); 3 geodesic truncated at the domain boundary,
+including a step whose RK4 stage fails outside the domain.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig, load_config
 from .frames import crosscheck
 from .geodesics import SPEED_DECADES, PathTooLongError, SingularHessianError, _probe
-from .metric import FinslerValidationError, MetricBundle, _ec1_margin, _triangular_grid, sample_grid
+from .metric import FinslerValidationError, MetricBundle, _ec1_margin, _triangle_rows, sample_grid
 from .reversibility import InconsistentEvidenceError, _ladder, classify, residual
 from .scalarfield import EvalDomainError
 
@@ -156,7 +157,7 @@ def _write_validation_csv(path: str, bundle: MetricBundle) -> None:
     written as NaN.
     """
     n = max(bundle.sampling.n_s, 64)
-    s, b = (v.reshape(n, n) for v in _triangular_grid(bundle.phi.b0, n))
+    s, b = (v.reshape(n, n) for v in _triangle_rows(bundle.phi.b0, n, slice(None)))
     margin = np.full_like(s, np.nan)
     for i in range(n):
         try:

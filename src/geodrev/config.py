@@ -1,8 +1,9 @@
 """Experiment configuration: [section] headers, key = value lines, # comments.
 
 Strings are double-quoted, numbers are plain decimals.  FORMAT lists every
-section and key with its type, its default and its range; any other section
-or key is an error that names its line.  README.md shows an example.
+section and key with its type, its default and its range (n_s also has an
+upper bound, N_S_MAX); any other section or key is an error that names its
+line.  README.md shows an example.
 """
 
 from __future__ import annotations
@@ -32,6 +33,10 @@ class ConfigError(ValueError):
 
 
 REQUIRED = object()  # the default of a key that the config must give
+
+# Validation's (s, b) triangle holds n_s^2 values in bounded memory: at this
+# bound, 1e10 values, it takes minutes, not the hours of a mistyped count.
+N_S_MAX = 100_000
 
 
 class Key:
@@ -226,6 +231,8 @@ def parse_config(text: str) -> ExperimentConfig:
             if row.valid is not None and not row.valid(value):
                 raise ConfigError(row.wording.format(value=repr(value)), line)
 
+    if values["sampling"]["n_s"] > N_S_MAX:
+        raise ConfigError(f"sampling count n_s must be at most {N_S_MAX}", sections["sampling"]["n_s"][1])
     metric, phi, geodesics = values["metric"], values["phi"], values["geodesics"]
     domain = Rectangle(metric["x1min"], metric["x1max"], metric["x2min"], metric["x2max"])
     if domain.x1min >= domain.x1max or domain.x2min >= domain.x2max:

@@ -187,12 +187,39 @@ def _steps(T: float, h: float) -> int:
     return max(1, int(round(T / h)))
 
 
+def _rk4_step(rate, state: np.ndarray, h: float) -> np.ndarray:
+    """One classical RK4 step of every row of ``state``."""
+    k1 = rate(state)
+    k2 = rate(state + 0.5 * h * k1)
+    k3 = rate(state + 0.5 * h * k2)
+    k4 = rate(state + h * k3)
+    return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _fails_outside(rate, domain, state: np.ndarray, h: float) -> bool:
+    """Whether the RK4 step of the one row ``state`` first fails at a stage
+    k2, k3 or k4 whose point is finite and outside the domain rectangle."""
+    k = rate(state)
+    for c in (0.5, 0.5, 1.0):
+        point = state + c * h * k
+        try:
+            k = rate(point)
+        except (SingularHessianError, EvalDomainError):
+            x1, x2 = point[0, :2].tolist()
+            return math.isfinite(x1) and math.isfinite(x2) and not domain.contains(x1, x2)
+    return False
+
+
 def _rk4_batch(rate, domain, x0s, y0s, Ts, h: float) -> list[GeodesicPath]:
     """Fixed-step RK4 paths from every (x0, y0) for its duration T, in lockstep.
 
     ``rate`` maps the live rows (x1, x2, y1, y2) to their (N, 4) derivatives.
     A row runs ``_steps(T, h)`` steps, or stops at the first step that leaves
-    the domain, and then drops out of the batch.
+    the domain, and then drops out of the batch.  A row whose step fails at
+    an RK4 stage outside the domain, as a fast start's first step can, ends
+    at its previous step, truncated, and the step runs again for the other
+    rows; the rows are found one at a time only after such a failure.  A
+    failure at a stage inside the domain raises.
     """
     if not 0.0 < h < math.inf or not all(0.0 < T < math.inf for T in Ts):
         raise ValueError("T and h must be positive and finite")
@@ -215,11 +242,17 @@ def _rk4_batch(rate, domain, x0s, y0s, Ts, h: float) -> list[GeodesicPath]:
 
     step = 0
     while live.size:
-        k1 = rate(state)
-        k2 = rate(state + 0.5 * h * k1)
-        k3 = rate(state + 0.5 * h * k2)
-        k4 = rate(state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        try:
+            state_next = _rk4_step(rate, state, h)
+        except (SingularHessianError, EvalDomainError):
+            gone = np.array([_fails_outside(rate, domain, row[None], h) for row in state])
+            if not gone.any():
+                raise
+            counts[live[gone]] = step
+            truncated[live[gone]] = True
+            live, state = live[~gone], state[~gone]
+            continue
+        state = state_next
         step += 1
         traj[live, step] = state
         inside = domain.contains(state[:, 0], state[:, 1])

@@ -14,6 +14,7 @@ and the identity beta_t^2 = b^2 - beta^2 holds pointwise.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -100,10 +101,47 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _triangular_grid(b0: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sample pairs (s, b) with |s| <= b < b0, b strictly inside the interval."""
+# Values per temporary of a blocked grid evaluation: 2^13 float64 (64 KB)
+# keep a block's few dozen temporaries in cache and under glibc's 128 KB
+# mmap threshold.  Classify's base x fiber grid runs in blocks of this size.
+# On a 2-core Xeon a doubled classify's fiber part (42 x 42 x 128) took
+# 29-41 ms from 2^13 to 2^15 values, ~40 ms at 2^16, 48-56 ms at 2^17 and
+# ~64 ms unblocked.  Default sampling (21 x 21 x 64) runs as 4 blocks, a
+# few per cent slower than one pass once the allocator is warm; 2^14 or
+# 2^15 would make that 2 or 1 block but raise a doubled classify's
+# tracemalloc peak from ~1.8 MB to ~3.5 or ~6.5 MB.
+_BLOCK_VALUES = 1 << 13
+
+# Validation's (s, b) triangle runs in blocks of this many budgets.  Its
+# margin keeps a few temporaries per value, not dozens, so a block's fixed
+# cost (linspace, three walks, a dozen numpy calls: ~45 us) weighs more.
+# With the allocator warm, three profiles validated at n = 201 in
+# 0.56-1.44 ms as one block of 2^16 values and in 1.02-2.16 ms as 6 of
+# 2^13, and at n = 402 in 2.54-4.70 ms as 3 blocks of 2^16 and in
+# 3.42-6.71 ms as 21 of 2^13; 2^17 blocks were slower again at n = 402.
+_MARGIN_BUDGETS = 8
+
+
+def _row_blocks(rows: int, width: int, budgets: int = 1):
+    """Consecutive slices of ``rows`` rows of ``width`` values each, as many
+    whole rows per slice as fit in ``budgets`` blocks of _BLOCK_VALUES
+    values, and at least one."""
+    step = max(1, budgets * _BLOCK_VALUES // max(width, 1))
+    return (slice(a, a + step) for a in range(0, rows, step))
+
+
+def _triangle_rows(b0: float, n: int, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+    """The rows ``rows`` of the triangular grid of pairs (s, b) with |s| <= b < b0.
+
+    Row i holds n values of s from -b_i to b_i at b_i = b0 (i + 1) / (n + 1),
+    b strictly inside the interval; the rows come flattened in row order.
+    """
     bs = b0 * (np.arange(1, n + 1) / (n + 1.0))
-    return np.linspace(-bs, bs, n, axis=1).ravel(), np.repeat(bs, n)
+    # linspace takes its denormal branch for every row once one row's step is
+    # 0; the first row has the smallest step, so leading with it keeps the
+    # whole grid's branch in every block.
+    lead = np.concatenate((bs[:1], bs[rows]))
+    return np.linspace(-lead, lead, n, axis=1)[1:].ravel(), np.repeat(bs[rows], n)
 
 
 def _ec1_margin(phi: PhiFunction, s, b):
@@ -111,7 +149,7 @@ def _ec1_margin(phi: PhiFunction, s, b):
     return phi.phi(s=s) - s * phi.d1(s=s) + (b * b - s * s) * phi.d2(s=s)
 
 
-def _locate_domain_witness(phi: PhiFunction, s_values: np.ndarray) -> dict:
+def _locate_domain_witness(phi: PhiFunction, s_values) -> dict:
     for s in s_values:
         try:
             phi.phi(s=float(s))
@@ -126,7 +164,9 @@ def validate_finsler(phi: PhiFunction, grid_n: int = 201) -> ValidationReport:
     """Check positivity of phi, of phi - s*phi' and of the full convexity margin.
 
     The convexity margin phi - s*phi' + (b^2 - s^2)*phi'' is evaluated on a
-    triangular grid {|s| <= b < b0}; the other two quantities on (-b0, b0).
+    triangular grid {|s| <= b < b0}, in blocks of whole rows; the other two
+    quantities on (-b0, b0).  The minima, their first grid points and the
+    first non-finite s are bitwise those of one pass over the whole grid.
     A pole of phi inside the interval is reported as a failure with witness.
     """
     if grid_n < 64:
@@ -134,14 +174,33 @@ def validate_finsler(phi: PhiFunction, grid_n: int = 201) -> ValidationReport:
     b0 = phi.b0
     edge = b0 * grid_n / (grid_n + 1.0)
     s_line = np.linspace(-edge, edge, 2 * grid_n + 1)
-    s_tri, b_tri = _triangular_grid(b0, grid_n)
+    bad_s = None  # the first s, on the line before the triangle, where a quantity is not finite
+    worst_ec1 = None  # (ec1, s, b) at the first occurrence of the triangle's minimum
     try:
-        phi_line = np.asarray(phi.phi(s=s_line), dtype=float)
+        # a constant profile evaluates to one value
+        phi_line = np.broadcast_to(np.asarray(phi.phi(s=s_line), dtype=float), s_line.shape)
         d1_line = np.asarray(phi.d1(s=s_line), dtype=float)
         ec2 = phi_line - s_line * d1_line
-        ec1 = _ec1_margin(phi, s_tri, b_tri)
+        finite = np.isfinite(phi_line) & np.isfinite(ec2)
+        if not finite.all():
+            bad_s = float(s_line[int(np.argmin(finite))])
+        # every block runs, so that a later domain error still wins
+        for rows in _row_blocks(grid_n, grid_n, _MARGIN_BUDGETS):
+            s_tri, b_tri = _triangle_rows(b0, grid_n, rows)
+            ec1 = _ec1_margin(phi, s_tri, b_tri)
+            if bad_s is not None:
+                continue
+            finite = np.isfinite(ec1)
+            if not finite.all():
+                bad_s = float(s_tri[int(np.argmin(finite))])
+                continue
+            i = int(np.argmin(ec1))
+            if worst_ec1 is None or ec1[i] < worst_ec1[0]:
+                worst_ec1 = (float(ec1[i]), float(s_tri[i]), float(b_tri[i]))
     except EvalDomainError:
-        witness = _locate_domain_witness(phi, np.concatenate([s_line, s_tri]))
+        blocks = _row_blocks(grid_n, grid_n, _MARGIN_BUDGETS)
+        s_rows = (_triangle_rows(b0, grid_n, rows)[0] for rows in blocks)
+        witness = _locate_domain_witness(phi, itertools.chain(s_line, itertools.chain.from_iterable(s_rows)))
         return ValidationReport(
             min_margin_ec1=float("-inf"),
             min_margin_ec2=float("-inf"),
@@ -150,21 +209,17 @@ def validate_finsler(phi: PhiFunction, grid_n: int = 201) -> ValidationReport:
             witness=witness or {"s": float("nan")},
         )
 
-    # the first s, on the line before the triangle, where a quantity is not finite
-    bad = ~np.concatenate([np.isfinite(phi_line) & np.isfinite(ec2), np.isfinite(ec1)])
-    if bad.any():
-        witness = {"s": float(np.concatenate([s_line, s_tri])[int(np.argmax(bad))])}
-        return ValidationReport(float("-inf"), float("-inf"), float("-inf"), False, witness)
+    if bad_s is not None:
+        return ValidationReport(float("-inf"), float("-inf"), float("-inf"), False, {"s": bad_s})
 
-    i1 = int(np.argmin(ec1))
+    min_ec1, s1, b1 = worst_ec1
     i2 = int(np.argmin(ec2))
     i3 = int(np.argmin(phi_line))
-    min_ec1 = float(ec1[i1])
     min_ec2 = float(ec2[i2])
     min_phi = float(phi_line[i3])
     passed = min_ec1 > 0.0 and min_ec2 > 0.0 and min_phi > 0.0
     worst = min(
-        (min_ec1, {"s": float(s_tri[i1]), "b": float(b_tri[i1])}),
+        (min_ec1, {"s": s1, "b": b1}),
         (min_ec2, {"s": float(s_line[i2])}),
         (min_phi, {"s": float(s_line[i3])}),
         key=lambda pair: pair[0],

@@ -33,6 +33,7 @@ from .metric import (
     MetricBundle,
     PhiFunction,
     _beta_pair,
+    _row_blocks,
     even_odd_decompose,
     sample_grid,
     zero_threshold,
@@ -279,17 +280,6 @@ def _zero_test(values, eps_zero: float) -> ZeroTest:
     return ZeroTest(peak, thr, peak <= thr < np.inf)  # never on inf or nan
 
 
-# Values per temporary in classify's fiber loop: 2^13 float64 (64 KB) keep
-# a block's few dozen temporaries in cache and under glibc's 128 KB mmap
-# threshold.  On a 2-core Xeon a doubled classify (42 x 42 x 128) took
-# 29-41 ms from 2^13 to 2^15 values, ~40 ms at 2^16, 48-56 ms at 2^17 and
-# ~64 ms unblocked.  Default sampling (21 x 21 x 64) runs as 4 blocks, a
-# few per cent slower than one pass once the allocator is warm; 2^14 or
-# 2^15 would make that 2 or 1 block but raise a doubled classify's
-# tracemalloc peak from ~1.8 MB to ~3.5 or ~6.5 MB.
-_BLOCK_VALUES = 1 << 13
-
-
 def _fiber_evidence(pd: PointData, phi: PhiFunction, x1, x2, t):
     """M2, M and the residual at the angles t over pd's base points x, checked finite."""
     fb = _fiber(pd, t)
@@ -316,8 +306,7 @@ def _fiber_peaks(pd: PointData, phi: PhiFunction, x1, x2, t) -> list:
     point of the whole grid.
     """
     varying = [name for name, values in vars(pd).items() if np.ndim(values)]  # (n, 1) columns
-    step = max(1, _BLOCK_VALUES // np.size(t))
-    blocks = [slice(a, a + step) for a in range(0, len(x1), step)] if varying else [slice(None)]
+    blocks = _row_blocks(len(x1), np.size(t)) if varying else [slice(None)]
     peaks = [0.0, 0.0, 0.0]
     for rows in blocks:
         block = replace(pd, **{name: getattr(pd, name)[rows] for name in varying})

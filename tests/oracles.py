@@ -15,12 +15,23 @@ from types import SimpleNamespace
 import numpy as np
 
 from geodrev.geodesics import GeodesicPath, _integrate_batch, _norm_batch, _probe, _rates, _rk4_batch
-from geodrev.metric import PHI_VAR, IsothermalMetric, LinearForm, MetricBundle, PhiFunction, _beta_pair
+from geodrev.metric import (
+    PHI_VAR,
+    IsothermalMetric,
+    LinearForm,
+    MetricBundle,
+    PhiFunction,
+    ValidationReport,
+    _beta_pair,
+    _ec1_margin,
+    _locate_domain_witness,
+)
 from geodrev.reversibility import _ladder, point_data
 from geodrev.scalarfield import (
     _BINARY,
     Binary,
     Const,
+    EvalDomainError,
     Expr,
     ExpressionError,
     Power,
@@ -548,3 +559,57 @@ def ref_points_to_polyline(points, poly):
     proj = p[None, :, :] + tpar[:, :, None] * d[None, :, :]
     dist = np.linalg.norm(points[:, None, :] - proj, axis=2)
     return np.min(dist, axis=1)
+
+
+# ---------------------------------------------------------------------------
+# Validation in one pass over each whole grid, before its triangle ran in blocks
+
+
+def ref_triangular_grid(b0: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sample pairs (s, b) with |s| <= b < b0, b strictly inside the interval."""
+    bs = b0 * (np.arange(1, n + 1) / (n + 1.0))
+    return np.linspace(-bs, bs, n, axis=1).ravel(), np.repeat(bs, n)
+
+
+def ref_validate_finsler(phi: PhiFunction, grid_n: int = 201) -> ValidationReport:
+    b0 = phi.b0
+    edge = b0 * grid_n / (grid_n + 1.0)
+    s_line = np.linspace(-edge, edge, 2 * grid_n + 1)
+    s_tri, b_tri = ref_triangular_grid(b0, grid_n)
+    try:
+        phi_line = np.broadcast_to(np.asarray(phi.phi(s=s_line), dtype=float), s_line.shape)
+        d1_line = np.asarray(phi.d1(s=s_line), dtype=float)
+        ec2 = phi_line - s_line * d1_line
+        ec1 = _ec1_margin(phi, s_tri, b_tri)
+    except EvalDomainError:
+        witness = _locate_domain_witness(phi, np.concatenate([s_line, s_tri]))
+        inf = float("-inf")
+        return ValidationReport(inf, inf, inf, False, witness or {"s": float("nan")})
+    bad = ~np.concatenate([np.isfinite(phi_line) & np.isfinite(ec2), np.isfinite(ec1)])
+    if bad.any():
+        witness = {"s": float(np.concatenate([s_line, s_tri])[int(np.argmax(bad))])}
+        return ValidationReport(float("-inf"), float("-inf"), float("-inf"), False, witness)
+    i1, i2, i3 = int(np.argmin(ec1)), int(np.argmin(ec2)), int(np.argmin(phi_line))
+    min_ec1, min_ec2, min_phi = float(ec1[i1]), float(ec2[i2]), float(phi_line[i3])
+    worst = min(
+        (min_ec1, {"s": float(s_tri[i1]), "b": float(b_tri[i1])}),
+        (min_ec2, {"s": float(s_line[i2])}),
+        (min_phi, {"s": float(s_line[i3])}),
+        key=lambda pair: pair[0],
+    )
+    passed = min_ec1 > 0.0 and min_ec2 > 0.0 and min_phi > 0.0
+    return ValidationReport(min_ec1, min_ec2, min_phi, passed, worst[1])
+
+
+def ref_validation_table(bundle: MetricBundle) -> np.ndarray:
+    """The rows (s, b, ec1 margin) of ``validate --out``, one b at a time; NaN
+    margins in a row that leaves the profile's domain."""
+    n = max(bundle.sampling.n_s, 64)
+    s, b = (v.reshape(n, n) for v in ref_triangular_grid(bundle.phi.b0, n))
+    margin = np.full_like(s, np.nan)
+    for i in range(n):
+        try:
+            margin[i] = _ec1_margin(bundle.phi, s[i], b[i])
+        except EvalDomainError:
+            pass
+    return np.column_stack((s.ravel(), b.ravel(), margin.ravel()))

@@ -18,7 +18,7 @@ from geodrev import (
     PhiFunction,
     path_distance,
 )
-from geodrev import cli, config, reversibility
+from geodrev import cli, config, metric
 from geodrev.cli import main
 from geodrev.config import ConfigError, ExperimentConfig, load_config, parse_config
 from geodrev.geodesics import _norm_batch
@@ -259,6 +259,8 @@ class TestConfigParsing:
             ("n_x2", "0", "sampling count n_x2 must be at least 8"),
             ("n_t", "4", "sampling count n_t must be at least 8"),
             ("n_s", "-1", "sampling count n_s must be at least 8"),
+            ("n_s", "100001", "sampling count n_s must be at most 100000"),
+            ("n_s", "100000000000000", "sampling count n_s must be at most 100000"),
             ("eps_zero", "0", "eps_zero must be positive"),
             ("T", "-1.0", "T and h must be positive"),
             ("h", "0", "T and h must be positive"),
@@ -679,19 +681,22 @@ class TestErrorExitCodes:
             " invalid start byte\n"
         )
 
-    def test_start_speed_at_the_bound_is_config_error(self, tmp_path, capsys):
-        # --y0 of length 1e100 is accepted; an RK4 stage of the first step
-        # lands far outside the domain with a speed beyond the spray's range.
+    @pytest.mark.parametrize("speed", ["1e50", "1e99", "1e100"])
+    def test_start_leaving_within_one_step_is_truncated(self, tmp_path, capsys, speed):
+        # An RK4 stage of the first step lands far outside the domain, where
+        # the spray fails (a Hessian that is not positive definite at 1e50, a
+        # speed beyond the spray's range at 1e99 and 1e100): both paths end
+        # at their start, truncated.
         with open(README, encoding="utf-8") as handle:
             example = handle.read().split("```ini\n", 1)[1].split("```", 1)[0]
         out_csv = tmp_path / "g.csv"
-        argv = ["geodesic", write(tmp_path, example), "--x0", "0,0", "--y0", "1e100,0"]
-        assert main([*argv, "--out", str(out_csv)]) == 1
-        assert capsys.readouterr().err == (
-            "config error: tangent vector length 6.2499989667539e+195 outside [1e-150, 1e150]"
-            " at x=(5e+96, 0.0), y=(-6.2499989667539e+195, 0.0)\n"
-        )
-        assert not out_csv.exists()
+        argv = ["geodesic", write(tmp_path, example), "--x0", "0,0", "--y0", f"{speed},0"]
+        assert main([*argv, "--out", str(out_csv)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "reversibility_error = 0\n"
+        assert captured.err == "path truncated at the domain boundary\n"
+        for path in (out_csv, tmp_path / "g_rev.csv"):
+            assert path.read_text() == "step,x1,x2\n0,0,0\n"
 
     def test_singular_hessian_is_validation_failure(self, tmp_path, capsys):
         cfg = write(tmp_path, PEAKED_B1_CONFIG)
@@ -729,8 +734,8 @@ class TestErrorExitCodes:
         path = write(tmp_path, SUBNORMAL_ALPHA_CONFIG)
         assert main(["validate", path]) == 0
         capsys.readouterr()
-        for block_values in (reversibility._BLOCK_VALUES, 1):  # classify's blocks, then one row each
-            monkeypatch.setattr(reversibility, "_BLOCK_VALUES", block_values)
+        for block_values in (metric._BLOCK_VALUES, 1):  # classify's blocks, then one row each
+            monkeypatch.setattr(metric, "_BLOCK_VALUES", block_values)
             assert main(["classify", path]) == 1
             err = capsys.readouterr().err
             assert err == "config error: residual is not finite at x1=-1.0, x2=-1.0, t=0.0\n"
@@ -748,7 +753,7 @@ class TestErrorExitCodes:
         )
         assert main(["validate", path]) == 0
         capsys.readouterr()
-        monkeypatch.setattr(reversibility, "_BLOCK_VALUES", block_values)
+        monkeypatch.setattr(metric, "_BLOCK_VALUES", block_values)
         assert main(["classify", path]) == 1
         assert capsys.readouterr().err == (
             "config error: residual is not finite at x1=0.6000000000000001, x2=0.0, t=0.0\n"

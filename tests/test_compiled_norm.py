@@ -143,6 +143,16 @@ def test_an_overflowing_exp_returns_the_walks_inf():
     assert np.isinf(values).any() and not np.isnan(values).any()
 
 
+@pytest.mark.parametrize("nu", ["0", "0.3", "-2.5", "1e-300", "700", "800", "-800"])
+def test_a_constant_nu(nu):
+    # exp(nu) of a constant, finite, overflowing at 800 or underflowing to 0 at -800
+    bundle = _bundle(nu, "0.2 + 0.1*x1", "0.1", "1 / (1 - s)")
+    columns = _stencil_columns(8)
+    with np.errstate(all="ignore"):
+        _assert_program_matches_walk(bundle, columns)
+        _assert_program_matches_walk(bundle, tuple(float(c[0]) for c in columns))
+
+
 def test_signed_zero_inf_and_nan_constants():
     x1, x2 = Var("x1"), Var("x2")
     nu = Binary("+", Binary("*", Const(-0.0), x1), Binary("/", x2, Const(math.inf)))

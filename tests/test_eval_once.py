@@ -24,6 +24,7 @@ from geodrev import (
     Rectangle,
     cli,
     frames,
+    metric,
     reversibility,
 )
 from geodrev.cli import main
@@ -303,7 +304,7 @@ class TestBitwiseAgainstReference:
         # one base row per block, or three rows and a shorter last block
         bundle = witness(name, sampling)
         values = 1 if block == "one_row" else 3 * bundle.sampling.n_t + 1
-        monkeypatch.setattr(reversibility, "_BLOCK_VALUES", values)
+        monkeypatch.setattr(metric, "_BLOCK_VALUES", values)
         check_classify_evidence(bundle)
 
     def test_classify_evidence_arrays(self, name, sampling, monkeypatch):

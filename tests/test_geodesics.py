@@ -318,6 +318,35 @@ class TestBatchedEngine:
             _same_path(got, want)
             assert tuple(got.samples[0]) == x0 and tuple(got.velocities[0]) == y0
 
+    @pytest.mark.parametrize("speed", [1e50, 1e99])
+    def test_a_start_that_fails_outside_leaves_the_other_rows_alone(self, speed):
+        # The README example: the fast start's first step fails at an RK4
+        # stage far outside the domain, and ends the row there, truncated.
+        metric = IsothermalMetric.from_text("0", Rectangle(-1, 1, -1, 1))
+        bundle = MetricBundle(metric, LinearForm.from_text("0.2 + 0.1 * x1", "0"), PhiFunction.matsumoto(0.4))
+        y0s = [(1.0, 0.3), (speed, 0.0), (-0.5, 0.8), (0.3, -1.0)]
+        batch = geodesics._probe(bundle, (0.1, 0.2), y0s, 0.3, 1e-3)
+        for y0, (forward, rev, error) in zip(y0s, batch):
+            if y0[0] == speed:
+                for path in (forward, rev):
+                    assert path.truncated and path.duration == 0.0
+                    assert path.samples.tolist() == [[0.1, 0.2]]
+                assert error == 0.0
+                continue
+            ((want_forward, want_rev, want_error),) = geodesics._probe(bundle, (0.1, 0.2), [y0], 0.3, 1e-3)
+            _same_path(forward, want_forward)
+            _same_path(rev, want_rev)
+            assert error == want_error
+            assert not forward.truncated
+
+    def test_a_failure_inside_the_domain_still_raises(self):
+        # The Hessian fails along (1, 0) inside the domain; the fast row,
+        # whose stages leave the domain, does not hide that failure.
+        metric = IsothermalMetric.from_text("0", Rectangle(-1, 1, -1, 1))
+        bundle = MetricBundle(metric, LinearForm.from_text("0.65", "0"), PhiFunction.matsumoto(0.7))
+        with pytest.raises(SingularHessianError, match=r"at x=\(0\.3, -0\.4\), y=\(1\.0, 0\.0\)"):
+            _integrate_batch(bundle, [(0.3, -0.4)] * 2, [(0.0, 1e99), (1.0, 0.0)], [0.1, 0.1], 1e-3)
+
     def test_spray_batch_rows_equal_scalar_spray(self, class_a_bundle, rng):
         states = np.column_stack(
             [rng.uniform(-1, 1, 6), rng.uniform(-1, 1, 6), rng.uniform(-2, 2, 6), rng.uniform(0.2, 2, 6)]

@@ -17,10 +17,18 @@ from geodrev import (
     validate_finsler,
 )
 
-from geodrev.metric import _triangular_grid
+from geodrev import cli, metric
+from geodrev.metric import Sampling, _triangle_rows
 
-from conftest import CORPUS_PROFILES
-from oracles import beta_on_indicatrix, indicatrix_p, reverse_phi
+from conftest import CORPUS_PROFILES, make_class_a_bundle
+from oracles import (
+    beta_on_indicatrix,
+    indicatrix_p,
+    ref_triangular_grid,
+    ref_validate_finsler,
+    ref_validation_table,
+    reverse_phi,
+)
 
 
 class TestValidateFinsler:
@@ -82,9 +90,105 @@ def test_triangular_grid_matches_row_by_row_construction(b0, n):
     bs = b0 * (np.arange(1, n + 1) / (n + 1.0))
     s_rows = np.concatenate([np.linspace(-b, b, n) for b in bs])
     b_rows = np.concatenate([np.full(n, b) for b in bs])
-    s_tri, b_tri = _triangular_grid(b0, n)
+    s_tri, b_tri = _triangle_rows(b0, n, slice(None))
     assert s_tri.tobytes() == s_rows.tobytes()
     assert b_tri.tobytes() == b_rows.tobytes()
+
+
+# Profiles whose reports the blocked validation must reproduce: the corpus
+# (Randers' ec1 margin ties at many points), domain errors, a pole, failing
+# and overflowing margins, a constant profile whose margin ties everywhere,
+# and a b0 so small that linspace takes its denormal branch.
+BLOCK_PROFILES = {
+    **CORPUS_PROFILES,
+    "domain_errors": ("sqrt(0.25 - s^2) + 1", 0.9),
+    "pole": ("1/(0.3 - s)", 0.9),
+    "odd": ("s", 0.9),
+    "cubic": ("1 + s^3", 0.9),
+    "overflow": ("exp(800*s)", 0.9),
+    "triangle_overflow": ("1.7e308 + 5e307*s^2", 0.4),  # only the margin, at b > 0.31
+    "constant": ("1", 0.5),
+    "denormal_b0": ("1 + s", 2e-320),
+}
+
+
+def _block_rows(monkeypatch, rows, width):
+    """Triangle blocks of ``rows`` rows of ``width`` values, or the default for None."""
+    if rows is not None:
+        monkeypatch.setattr(metric, "_BLOCK_VALUES", rows * width)
+        monkeypatch.setattr(metric, "_MARGIN_BUDGETS", 1)
+
+
+class TestValidationInBlocks:
+    """Validation's triangle in blocks gives the bits of one pass over it."""
+
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    @pytest.mark.parametrize("n", [64, 201, 402])  # the default budget: 1, 1 and 3 blocks
+    @pytest.mark.parametrize("name", sorted(BLOCK_PROFILES))
+    def test_report_equals_one_pass(self, name, n, rows, monkeypatch):
+        phi = PhiFunction.from_text(*BLOCK_PROFILES[name])
+        with np.errstate(all="ignore"):
+            want = ref_validate_finsler(phi, n)
+            _block_rows(monkeypatch, rows, n)
+            got = validate_finsler(phi, n)
+        assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    def test_a_later_domain_error_wins_over_an_earlier_non_finite_value(self, rows, monkeypatch):
+        # exp overflows on the line; the pole sits on a triangle point of
+        # row 50, after the first block of 1 or 3 rows, which no point of
+        # the line hits
+        n = 201
+        s, _ = _triangle_rows(0.9, n, slice(50, 51))
+        line = np.linspace(-0.9 * n / (n + 1), 0.9 * n / (n + 1), 2 * n + 1)
+        pole = float([v for v in s if v > 0 and v not in line][3])
+        phi = PhiFunction.from_text(f"exp(800*s) + 1/(s - {pole!r})", 0.9)
+        _block_rows(monkeypatch, rows, n)
+        with np.errstate(all="ignore"):
+            report = validate_finsler(phi, n)
+        assert (report.min_margin_ec1, report.min_margin_ec2, report.min_phi) == (-math.inf,) * 3
+        assert not report.passed and report.witness == {"s": pole}
+
+    @pytest.mark.parametrize("rows", [1, 3, 40, 163])
+    @pytest.mark.parametrize("b0", [0.9, 1 / 3, 2e-320, 5e-320])
+    def test_triangle_rows_in_blocks_equal_the_whole_grid(self, b0, rows):
+        # at b0 = 2e-320 the first rows' steps underflow to 0, later ones not
+        n = 201
+        blocks = [_triangle_rows(b0, n, slice(a, a + rows)) for a in range(0, n, rows)]
+        for got, want in zip(map(np.concatenate, zip(*blocks)), ref_triangular_grid(b0, n)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    def test_a_margin_that_ties_everywhere_names_the_triangles_first_point(self, rows, monkeypatch):
+        # phi = 1: the three quantities are 1 everywhere, and ec1 comes first
+        _block_rows(monkeypatch, rows, 201)
+        report = validate_finsler(PhiFunction.from_text("1", 0.5), 201)
+        s, b = _triangle_rows(0.5, 201, slice(0, 1))
+        assert report.passed
+        assert report.witness == {"s": float(s[0]), "b": float(b[0])}
+
+    @pytest.mark.parametrize(
+        "text, b0, n_s",
+        # rows 112 and up leave the domain of the first
+        [
+            ("sqrt(0.25 - s^2) + 1", 0.9, 201),
+            ("1/(1 - s)", 0.4, 64),
+            ("1/(0.3 - s)", 0.9, 64),
+            ("1 + s", 2e-320, 201),
+        ],
+    )
+    def test_validation_csv_equals_row_by_row(self, tmp_path, text, b0, n_s):
+        bundle = make_class_a_bundle()
+        bundle = MetricBundle(bundle.metric, bundle.form, PhiFunction.from_text(text, b0), Sampling(n_s=n_s))
+        header = ["s", "b", "ec1_margin"]
+        with np.errstate(all="ignore"):
+            table = ref_validation_table(bundle)
+            cli.write_csv(str(tmp_path / "want.csv"), header, table)
+            cli._write_validation_csv(str(tmp_path / "got.csv"), bundle)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        if text.startswith("sqrt"):
+            nan_rows = np.isnan(table[:, 2]).reshape(n_s, n_s).all(axis=1)
+            assert nan_rows.tolist() == [False] * 112 + [True] * 89
 
 
 class TestBuiltinFamilies:

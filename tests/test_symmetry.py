@@ -10,12 +10,23 @@ original's, so values are compared within stated tolerances, not by bits.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from geodrev import IsothermalMetric, LinearForm, MetricBundle, classify, crosscheck, reversibility_scan
+from geodrev import (
+    IsothermalMetric,
+    LinearForm,
+    MetricBundle,
+    PhiFunction,
+    Rectangle,
+    classify,
+    crosscheck,
+    reversibility_scan,
+)
 from geodrev.metric import BASE_VARS, sample_grid
 from geodrev.scalarfield import ScalarField, Var, neg
 
-from conftest import make_class_a_bundle, make_class_b_bundle, make_even_bundle, make_irreversible_bundle
+from conftest import CORPUS_PROFILES, make_class_a_bundle, make_class_b_bundle, make_even_bundle, make_irreversible_bundle
 from oracles import substitute
 
 WITNESSES = {
@@ -107,3 +118,57 @@ def test_quarter_turn_shifts_the_fan_by_two_directions(witness):
     np.testing.assert_allclose(shifted, original, rtol=0.0, atol=FAN_TOL)
     if witness == "irreversible":
         assert max(original) > 1e4 * FAN_TOL  # the comparison is not between noise
+
+
+# The generated families of the benchmark corpus, drawn as its draw_family
+# draws them: coefficients as 6-decimal texts, each family over [-1, 1]^2.
+# Hypothesis also draws the ends of each range, 0 among them, where a
+# family's verdict may differ from the one its construction aims at.
+def _num(draw, lo: float, hi: float) -> str:
+    return f"{draw(st.floats(lo, hi)):.6f}"
+
+
+@st.composite
+def _family(draw):
+    """(nu, b1, b2, profile name) of one generated config."""
+    family = draw(st.sampled_from(["even", "exact", "const_flat", "xdep_matsumoto"]))
+    if family == "even":
+        nu = f"{_num(draw, -0.1, 0.1)}*x1 + {_num(draw, -0.1, 0.1)}*x2^2 + {_num(draw, -0.1, 0.1)}*x1*x2"
+        b1 = f"{_num(draw, -0.2, 0.2)} + {_num(draw, -0.15, 0.15)}*x2"
+        b2 = f"{_num(draw, -0.2, 0.2)} + {_num(draw, -0.15, 0.15)}*x1"
+        return nu, b1, b2, "even_quadratic"
+    if family == "exact":
+        nu = f"{_num(draw, -0.05, 0.05)}*x1 + {_num(draw, -0.05, 0.05)}*x2^2 + {_num(draw, -0.05, 0.05)}*x1*x2"
+        a1, a2, c = _num(draw, -0.12, 0.12), _num(draw, -0.12, 0.12), _num(draw, -0.04, 0.04)
+        d = draw(st.floats(-0.03, 0.03))
+        # b = grad(a1*x1 + a2*x2 + c*x1*x2 + d*(x1^2 - x2^2)), so curl(b) = c - c = 0
+        b1 = f"{a1} + {c}*x2 + {2 * d:.6f}*x1"
+        b2 = f"{a2} + {c}*x1 + {-2 * d:.6f}*x2"
+        profile = draw(st.sampled_from(["randers", "quadratic_plus_linear", "exp_plus_linear"]))
+        return nu, b1, b2, profile
+    if family == "const_flat":
+        nu, b1, b2 = _num(draw, -0.1, 0.1), _num(draw, -0.18, 0.18), _num(draw, -0.18, 0.18)
+        return nu, b1, b2, "matsumoto"
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    b1 = f"{_num(draw, 0.1, 0.2)} + {sign * draw(st.floats(0.05, 0.12)):.6f}*x1"
+    return "0", b1, _num(draw, -0.08, 0.08), "matsumoto"
+
+
+# A generated family's residual_max and crosscheck gap may be rounding
+# noise, whose bits the mapped expressions change: below this they count
+# as equal zeros.
+NOISE = 1e-15
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(drawn=_family(), map_name=st.sampled_from(sorted(DIHEDRAL)))
+def test_dihedral_map_keeps_generated_family_evidence(drawn, map_name):
+    nu, b1, b2, profile = drawn
+    metric = IsothermalMetric.from_text(nu, Rectangle(-1.0, 1.0, -1.0, 1.0))
+    bundle = MetricBundle(metric, LinearForm.from_text(b1, b2), PhiFunction.from_text(*CORPUS_PROFILES[profile]))
+    want = _evidence(bundle)
+    got = _evidence(_transformed(bundle, DIHEDRAL[map_name]))
+    assert got["verdict"] == want["verdict"]
+    assert got["b_sup"] == pytest.approx(want["b_sup"], rel=REL_TOL, abs=0.0)
+    assert got["residual_max"] == pytest.approx(want["residual_max"], rel=REL_TOL, abs=NOISE)
+    assert got["crosscheck_gap"] == pytest.approx(want["crosscheck_gap"], rel=0.0, abs=GAP_TOL)
