@@ -4,9 +4,9 @@ Exit codes: 0 success; 1 usage, config or I/O error, including an
 expression evaluated outside its domain (EvalDomainError), a non-finite
 number, an F^2 that underflows to 0 or is not finite along a geodesic, a
 start point outside the domain, a start vector of extreme length, an
-expression nested deeper than scalarfield.MAX_DEPTH, a sampling grid that
-cannot be allocated (MemoryError) and a geodesic run too long for its
-trajectory buffer (PathTooLongError);
+expression nested deeper than scalarfield.MAX_DEPTH, a grid within the
+sampling bounds that the host cannot allocate (MemoryError) and a geodesic
+run too long for its trajectory buffer (PathTooLongError);
 2 validation failure, including a fiber Hessian of F^2 that is not
 positive definite along a geodesic (SingularHessianError) and
 classification evidence that contradicts itself
@@ -28,7 +28,7 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig, load_config
 from .frames import crosscheck
 from .geodesics import SPEED_DECADES, PathTooLongError, SingularHessianError, _probe
-from .metric import FinslerValidationError, MetricBundle, _ec1_margin, _triangle_rows, sample_grid
+from .metric import FinslerValidationError, MetricBundle, _margin_blocks, _row_blocks, sample_grid
 from .reversibility import InconsistentEvidenceError, _ladder, classify, residual
 from .scalarfield import EvalDomainError
 
@@ -36,10 +36,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_VALIDATION = 2
 EXIT_TRUNCATED = 3
-
-
-# Rows per written block; bounds the size of the strings each block builds.
-CSV_BLOCK_ROWS = 4096
 
 
 def _texts(keys: np.ndarray):
@@ -119,52 +115,48 @@ def _grid_text(grid: np.ndarray) -> str:
     return body
 
 
-def write_csv(path: str, header: list[str], rows: np.ndarray) -> None:
-    """Write a header line, then one line per row, every value as %.17g.
+def write_csv(path: str, header: list[str], blocks) -> None:
+    """Write a header line, then each block's lines as it arrives, every value as %.17g.
 
-    ``rows`` is a (rows, len(header)) table, or a grid scan's (base points,
-    angles, len(header)) table, whose lines run over base points and, within
-    each, over its angles.  A block holds the whole base points that fit in
-    CSV_BLOCK_ROWS rows, or up to CSV_BLOCK_ROWS rows of a single one; a 2-D
-    table is a single base point.
+    A block is a (rows, len(header)) table or a grid scan's (base points,
+    angles, len(header)) one, lines over base points, then angles; one base
+    point is written in _row_blocks slices.  A new file is created at
+    ``path``, or next to an existing one that it replaces after the last
+    block, and removed if a block or a write fails.  A symlink, device or
+    pipe, or a file or directory that this process may not write, is written
+    in place, as open(path, "w") does.
     """
-    width = len(header)
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim not in (2, 3) or rows.shape[-1] != width:
-        raise ValueError(f"rows of {width} values expected, got an array of shape {rows.shape}")
-    grid = rows if rows.ndim == 3 else rows[None]
-    n_t = grid.shape[1]
-    step = max(1, CSV_BLOCK_ROWS // max(n_t, 1))
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(header) + "\n")
-        for i in range(0, len(grid), step):
-            for j in range(0, n_t, CSV_BLOCK_ROWS):
-                handle.write(_grid_text(grid[i : i + step, j : j + CSV_BLOCK_ROWS]))
+    exists = os.path.lexists(path)
+    direct = exists and (os.path.islink(path) or not os.path.isfile(path) or not os.access(path, os.W_OK)
+                         or not os.access(os.path.dirname(path) or ".", os.W_OK))
+    temp = f"{path}.{os.getpid()}.tmp" if exists and not direct else path
+    handle = open(temp, "w" if direct else "x", encoding="utf-8", newline="\n")
+    try:
+        with handle:
+            handle.write(",".join(header) + "\n")
+            for block in blocks:
+                block = np.asarray(block, dtype=float)
+                if block.ndim not in (2, 3) or block.shape[-1] != len(header):
+                    raise ValueError(f"rows of {len(header)} values expected, got shape {block.shape}")
+                grid = block if block.ndim == 3 else block[None]
+                for rows in _row_blocks(grid.shape[1], len(header)) if len(grid) == 1 else [slice(None)]:
+                    handle.write(_grid_text(grid[:, rows]))
+        if temp != path:
+            os.chmod(temp, os.stat(path).st_mode & 0o7777)  # open(path, "w") keeps an existing file's mode
+            os.replace(temp, path)
+    except BaseException:
+        if not direct:
+            os.unlink(temp)
+        raise
 
 
 def cmd_validate(args, bundle: MetricBundle, cfg: ExperimentConfig) -> int:
     report = bundle.validate()
     print(report.as_text())
     if args.out:
-        _write_validation_csv(args.out, bundle)
+        n = max(bundle.sampling.n_s, 64)
+        write_csv(args.out, ["s", "b", "ec1_margin"], _margin_blocks(bundle.phi, n))
     return EXIT_OK if report.passed else EXIT_VALIDATION
-
-
-def _write_validation_csv(path: str, bundle: MetricBundle) -> None:
-    """Write the convexity margin on validate_finsler's (s, b) grid.
-
-    Each b is a block of rows; a block that leaves the profile's domain is
-    written as NaN.
-    """
-    n = max(bundle.sampling.n_s, 64)
-    s, b = (v.reshape(n, n) for v in _triangle_rows(bundle.phi.b0, n, slice(None)))
-    margin = np.full_like(s, np.nan)
-    for i in range(n):
-        try:
-            margin[i] = _ec1_margin(bundle.phi, s[i], b[i])
-        except EvalDomainError:
-            pass
-    write_csv(path, ["s", "b", "ec1_margin"], np.column_stack((s.ravel(), b.ravel(), margin.ravel())))
 
 
 def cmd_classify(args, bundle: MetricBundle, cfg: ExperimentConfig) -> int:
@@ -173,54 +165,50 @@ def cmd_classify(args, bundle: MetricBundle, cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _scan_rows(bundle: MetricBundle, what: str) -> tuple[list[str], np.ndarray]:
-    """Header and (rows, columns) table of a scan.
+SCAN_HEADERS = {
+    "E": ["s", "E", "F"],
+    "F": ["s", "E", "F"],
+    "residual": ["x1", "x2", "t", "residual"],
+    "crosscheck": ["x1", "x2", "t", "direct", "closed_form", "gap"],
+}
 
-    Grid scans evaluate the whole base x fiber grid in one broadcast call;
-    rows run over x1 outermost, then x2, then t.
+
+def _scan_values(bundle: MetricBundle, what: str, x, t) -> list:
+    if what == "residual":
+        return [residual(bundle, x, t)]
+    result = crosscheck(bundle, x, t)
+    return [result.direct, result.closed_form, result.relative_gap]
+
+
+def _scan_rows(bundle: MetricBundle, what: str):
+    """The blocks of a scan's rows, each evaluated when the writer asks for it:
+    E and F are one (rows, 3) table over s; a grid scan runs in _row_blocks
+    of whole base points x angles, x1 outermost, then x2, then t.
     """
-    sampling = bundle.sampling
     report = bundle.validate()
     if what in ("E", "F"):
-        s = np.linspace(-report.b_sup, report.b_sup, sampling.n_s)
+        s = np.linspace(-report.b_sup, report.b_sup, bundle.sampling.n_s)
         ladder = _ladder(bundle.phi, s)
-        e_vals = np.broadcast_to(ladder.E(), s.shape)
-        f_vals = np.broadcast_to(ladder.F(report.b_sup), s.shape)
-        return ["s", "E", "F"], np.column_stack((s, e_vals, f_vals))
-    if what == "residual":
-        header = ["x1", "x2", "t", "residual"]
-
-        def evaluate(x1, x2, t):
-            return [residual(bundle, (x1, x2), t)]
-    else:  # crosscheck, the last of the parser's choices
-        header = ["x1", "x2", "t", "direct", "closed_form", "gap"]
-
-        def evaluate(x1, x2, t):
-            result = crosscheck(bundle, (x1, x2), t)
-            return [result.direct, result.closed_form, result.relative_gap]
-
-    X1, X2, t = sample_grid(bundle.metric.domain, sampling)
-    try:
-        values = evaluate(X1, X2, t)
-    except EvalDomainError:
-        # The grid call evaluates each expression at every point before the
-        # next one, so its error may name a later point than the first to
-        # fail.  Walk the points in row order to name the first.
-        for x1, x2 in zip(X1.ravel(), X2.ravel()):
-            evaluate(x1, x2, t)
-        raise
-    shape = (X1.size, t.size)
-    columns = [np.broadcast_to(v, shape).ravel() for v in (X1, X2, t, *values)]
-    return header, np.column_stack(columns)
+        yield np.stack(np.broadcast_arrays(s, ladder.E(), ladder.F(report.b_sup)), axis=-1)
+        return
+    X1, X2, t = sample_grid(bundle.metric.domain, bundle.sampling)
+    for rows in _row_blocks(len(X1), t.size):
+        x = X1[rows], X2[rows]
+        try:
+            values = _scan_values(bundle, what, x, t)
+        except EvalDomainError:
+            # A block call evaluates each expression at every point before the
+            # next, so its error may name a later point than the first to
+            # fail; walk this block's points in row order to name the first.
+            for point in zip(x[0].ravel(), x[1].ravel()):
+                _scan_values(bundle, what, point, t)
+            raise
+        yield np.stack(np.broadcast_arrays(*x, t, *values), axis=-1)
 
 
 def cmd_scan(args, bundle: MetricBundle, cfg: ExperimentConfig) -> int:
     bundle.require_valid()
-    header, rows = _scan_rows(bundle, args.what)
-    if args.what in ("residual", "crosscheck"):
-        # base points x angles, a view of the same rows
-        rows = rows.reshape(-1, bundle.sampling.n_t, len(header))
-    write_csv(args.out, header, rows)
+    write_csv(args.out, SCAN_HEADERS[args.what], _scan_rows(bundle, args.what))
     return EXIT_OK
 
 
@@ -235,12 +223,6 @@ def _parse_pair(text: str, label: str) -> tuple[float, float]:
     if not all(math.isfinite(v) for v in pair):
         raise ConfigError(f"{label} must be two finite numbers, got {text}")
     return pair
-
-
-def _rev_path_name(path: str) -> str:
-    """``path`` with "_rev" before the file name's extension: g.csv -> g_rev.csv."""
-    stem, ext = os.path.splitext(path)
-    return f"{stem}_rev{ext}"
 
 
 def cmd_geodesic(args, bundle: MetricBundle, cfg: ExperimentConfig) -> int:
@@ -268,9 +250,10 @@ def cmd_geodesic(args, bundle: MetricBundle, cfg: ExperimentConfig) -> int:
             raise ConfigError(f"{label} must be a positive finite number, got {value}")
 
     ((forward, backward, error),) = _probe(bundle, x0, [y0], T, h)
-    for path, run in ((args.out, forward), (_rev_path_name(args.out), backward)):
-        steps = np.arange(len(run.samples), dtype=float)
-        write_csv(path, ["step", "x1", "x2"], np.column_stack((steps, run.samples)))
+    rev = "_rev".join(os.path.splitext(args.out))  # "_rev" before the extension: g.csv -> g_rev.csv
+    for path, run in ((args.out, forward), (rev, backward)):
+        table = np.column_stack((np.arange(len(run.samples), dtype=float), run.samples))
+        write_csv(path, ["step", "x1", "x2"], [table])
     print(f"reversibility_error = {error:.12g}")
     if forward.truncated or backward.truncated:
         print("path truncated at the domain boundary", file=sys.stderr)
@@ -324,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="dump criterion quantities as CSV")
     p_scan.add_argument("config")
-    p_scan.add_argument("--what", required=True, choices=("E", "F", "residual", "crosscheck"))
+    p_scan.add_argument("--what", required=True, choices=tuple(SCAN_HEADERS))
     p_scan.add_argument("--out", required=True)
 
     p_geo = sub.add_parser("geodesic", help="integrate a geodesic and its reverse")

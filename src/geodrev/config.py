@@ -1,9 +1,8 @@
 """Experiment configuration: [section] headers, key = value lines, # comments.
 
 Strings are double-quoted, numbers are plain decimals.  FORMAT lists every
-section and key with its type, its default and its range (n_s also has an
-upper bound, N_S_MAX); any other section or key is an error that names its
-line.  README.md shows an example.
+section and key with its type, its default and its range; any other section
+or key is an error that names its line.  README.md shows an example.
 """
 
 from __future__ import annotations
@@ -34,9 +33,12 @@ class ConfigError(ValueError):
 
 REQUIRED = object()  # the default of a key that the config must give
 
-# Validation's (s, b) triangle holds n_s^2 values in bounded memory: at this
-# bound, 1e10 values, it takes minutes, not the hours of a mistyped count.
-N_S_MAX = 100_000
+# Sampling counts run in bounded memory up to these bounds, which turn the
+# hours of a mistyped count into an error.  At 1e5, validation's triangle of
+# n_s^2 values takes minutes; at 1000 x 1000 x 1000, classify's 1e9 values
+# at ~150 ns each take minutes, and b_sup's one-pass fine grid of
+# 9 n_x1 n_x2 values takes 72 MB a temporary.
+SAMPLING_MAX = {"n_x1": 1000, "n_x2": 1000, "n_t": 1000, "n_s": 100_000}
 
 
 class Key:
@@ -55,7 +57,8 @@ _SAMPLING = {f.name: f.default for f in fields(Sampling)}
 
 
 def _count(name: str) -> Key:
-    return Key(int, _SAMPLING[name], lambda n: n >= 8, f"sampling count {name} must be at least 8")
+    top = SAMPLING_MAX[name]
+    return Key(int, _SAMPLING[name], lambda n: 8 <= n <= top, f"sampling count {name} must lie in [8, {top}]")
 
 
 def _positive(default: float, wording: str) -> Key:
@@ -83,7 +86,7 @@ FORMAT = {
         "b0": Key(float, valid=lambda b0: 0.0 < b0 <= 1.0, wording="b0 must lie in (0, 1]"),
     },
     "sampling": {
-        **{name: _count(name) for name in ("n_x1", "n_x2", "n_t", "n_s")},
+        **{name: _count(name) for name in SAMPLING_MAX},
         "eps_zero": _positive(_SAMPLING["eps_zero"], "eps_zero must be positive"),
     },
     "geodesics": {
@@ -231,8 +234,6 @@ def parse_config(text: str) -> ExperimentConfig:
             if row.valid is not None and not row.valid(value):
                 raise ConfigError(row.wording.format(value=repr(value)), line)
 
-    if values["sampling"]["n_s"] > N_S_MAX:
-        raise ConfigError(f"sampling count n_s must be at most {N_S_MAX}", sections["sampling"]["n_s"][1])
     metric, phi, geodesics = values["metric"], values["phi"], values["geodesics"]
     domain = Rectangle(metric["x1min"], metric["x1max"], metric["x2min"], metric["x2max"])
     if domain.x1min >= domain.x1max or domain.x2min >= domain.x2max:

@@ -14,6 +14,7 @@ and the identity beta_t^2 = b^2 - beta^2 holds pointwise.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -103,13 +104,13 @@ class ValidationReport:
 
 # Values per temporary of a blocked grid evaluation: 2^13 float64 (64 KB)
 # keep a block's few dozen temporaries in cache and under glibc's 128 KB
-# mmap threshold.  Classify's base x fiber grid runs in blocks of this size.
-# On a 2-core Xeon a doubled classify's fiber part (42 x 42 x 128) took
-# 29-41 ms from 2^13 to 2^15 values, ~40 ms at 2^16, 48-56 ms at 2^17 and
-# ~64 ms unblocked.  Default sampling (21 x 21 x 64) runs as 4 blocks, a
-# few per cent slower than one pass once the allocator is warm; 2^14 or
-# 2^15 would make that 2 or 1 block but raise a doubled classify's
-# tracemalloc peak from ~1.8 MB to ~3.5 or ~6.5 MB.
+# mmap threshold.  Classify's base x fiber grid and the grid scans run in
+# blocks of this size.  On a 2-core Xeon a doubled classify's fiber part
+# (42 x 42 x 128) took 29-41 ms from 2^13 to 2^15 values, ~40 ms at 2^16,
+# 48-56 ms at 2^17 and ~64 ms unblocked.  Default sampling (21 x 21 x 64)
+# runs as 4 blocks, a few per cent slower than one pass once the allocator
+# is warm; 2^14 or 2^15 would make that 2 or 1 block but raise a doubled
+# classify's tracemalloc peak from ~1.8 MB to ~3.5 or ~6.5 MB.
 _BLOCK_VALUES = 1 << 13
 
 # Validation's (s, b) triangle runs in blocks of this many budgets.  Its
@@ -147,6 +148,22 @@ def _triangle_rows(b0: float, n: int, rows: slice) -> tuple[np.ndarray, np.ndarr
 def _ec1_margin(phi: PhiFunction, s, b):
     """Convexity margin phi - s*phi' + (b^2 - s^2)*phi'' at the pairs (s, b)."""
     return phi.phi(s=s) - s * phi.d1(s=s) + (b * b - s * s) * phi.d2(s=s)
+
+
+def _margin_blocks(phi: PhiFunction, grid_n: int):
+    """validate_finsler's convexity margin, one of its triangle's blocks at a
+    time, as (rows, 3) tables of (s, b, margin) in the triangle's row order;
+    in a block that leaves phi's domain, each triangle row that does is NaN."""
+    for rows in _row_blocks(grid_n, grid_n, _MARGIN_BUDGETS):
+        s, b = (v.reshape(-1, grid_n) for v in _triangle_rows(phi.b0, grid_n, rows))
+        try:
+            margin = _ec1_margin(phi, s, b)
+        except EvalDomainError:
+            margin = np.full_like(s, np.nan)
+            for i in range(len(s)):
+                with contextlib.suppress(EvalDomainError):
+                    margin[i] = _ec1_margin(phi, s[i], b[i])
+        yield np.stack(np.broadcast_arrays(s, b, margin), axis=-1).reshape(-1, 3)
 
 
 def _locate_domain_witness(phi: PhiFunction, s_values) -> dict:

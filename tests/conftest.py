@@ -7,6 +7,7 @@ from geodrev import (
     MetricBundle,
     PhiFunction,
     Rectangle,
+    cli,
 )
 
 # Profile corpus: the two classical families, an even profile, an
@@ -94,6 +95,12 @@ def rng():
 def doubled(bundle):
     """The same structure with every sampling count doubled."""
     return MetricBundle(bundle.metric, bundle.form, bundle.phi, bundle.sampling.doubled())
+
+
+def scan_table(bundle, what):
+    """A scan's header and its blocks joined into one (rows, columns) table."""
+    header = cli.SCAN_HEADERS[what]
+    return header, np.concatenate([block.reshape(-1, len(header)) for block in cli._scan_rows(bundle, what)])
 
 
 def random_points(bundle, rng, n):

@@ -255,12 +255,15 @@ class TestConfigParsing:
             ("kind", '"finsler"', "phi kind must be randers, matsumoto or expr, got 'finsler'"),
             ("b0", "0", "b0 must lie in (0, 1]"),
             ("b0", "1.5", "b0 must lie in (0, 1]"),
-            ("n_x1", "7", "sampling count n_x1 must be at least 8"),
-            ("n_x2", "0", "sampling count n_x2 must be at least 8"),
-            ("n_t", "4", "sampling count n_t must be at least 8"),
-            ("n_s", "-1", "sampling count n_s must be at least 8"),
-            ("n_s", "100001", "sampling count n_s must be at most 100000"),
-            ("n_s", "100000000000000", "sampling count n_s must be at most 100000"),
+            ("n_x1", "7", "sampling count n_x1 must lie in [8, 1000]"),
+            ("n_x1", "1001", "sampling count n_x1 must lie in [8, 1000]"),
+            ("n_x2", "0", "sampling count n_x2 must lie in [8, 1000]"),
+            ("n_x2", "1001", "sampling count n_x2 must lie in [8, 1000]"),
+            ("n_t", "4", "sampling count n_t must lie in [8, 1000]"),
+            ("n_t", "1001", "sampling count n_t must lie in [8, 1000]"),
+            ("n_s", "-1", "sampling count n_s must lie in [8, 100000]"),
+            ("n_s", "100001", "sampling count n_s must lie in [8, 100000]"),
+            ("n_s", "100000000000000", "sampling count n_s must lie in [8, 100000]"),
             ("eps_zero", "0", "eps_zero must be positive"),
             ("T", "-1.0", "T and h must be positive"),
             ("h", "0", "T and h must be positive"),
@@ -464,6 +467,33 @@ def test_unwritable_output_is_one_io_error(tmp_path, capsys, argv):
     assert code == 1
     assert err.startswith("i/o error:")
     assert path in err
+
+
+class TestFailedScanLeavesNoFile:
+    # nu's x1-partial divides by zero only on the row x1 = 1.0, which lies in
+    # the last of the scan's blocks; validation evaluates nu alone and passes.
+    CONFIG = IRREVERSIBLE_CONFIG.replace('nu = "0"', 'nu = "0.1*sqrt(1 - x1)"')
+
+    def test_late_block_failure(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, self.CONFIG)
+        assert main(["validate", path]) == 0
+        written = []
+        grid_text = cli._grid_text
+        monkeypatch.setattr(cli, "_grid_text", lambda block: written.append(len(block)) or grid_text(block))
+        out = tmp_path / "r.csv"
+        argv = ["scan", path, "--what", "residual", "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "config error: division by zero at x1=1.0, x2=-1.0\n"
+        # three blocks of 128 base points went to the temporary file, now gone
+        assert written == [128, 128, 128]
+        assert os.listdir(tmp_path) == ["exp.cfg"]
+        # a CSV already at --out stays as it was
+        assert main(["scan", write(tmp_path, IRREVERSIBLE_CONFIG, "ok.cfg"), *argv[2:]]) == 0
+        before = out.read_bytes()
+        assert main(argv) == 1
+        assert out.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["exp.cfg", "ok.cfg", "r.csv"]
 
 
 class TestGeodesicCommand:
@@ -908,14 +938,16 @@ class TestDeepExpressions:
 
 
 class TestUnallocatableGrids:
-    # Each first allocation is larger than a 2^47-byte address space, so that
-    # no host can grant it.
+    # Grids whose first allocation would exceed a 2^47-byte address space
+    # are over the sampling bounds, so the parser rejects them by line.
     @pytest.mark.parametrize("command", ["validate", "classify"])
     @pytest.mark.parametrize("count", ["n_x2 = 10000000000000", "n_t = 100000000000000"])
     def test_unallocatable_grid_is_config_error(self, tmp_path, capsys, command, count):
         path = write(tmp_path, IRREVERSIBLE_CONFIG + f"\n[sampling]\n{count}\n")
+        number = (IRREVERSIBLE_CONFIG + "\n[sampling]\n").count("\n") + 1
+        key = count.split(" = ")[0]
         assert main([command, path]) == 1
-        assert capsys.readouterr().err.startswith("config error: Unable to allocate ")
+        assert capsys.readouterr().err == f"config error: line {number}: sampling count {key} must lie in [8, 1000]\n"
 
 
 class TestMainPass:

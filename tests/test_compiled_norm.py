@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geodrev import IsothermalMetric, LinearForm, MetricBundle, PhiFunction, Rectangle, cli
+from geodrev import IsothermalMetric, LinearForm, MetricBundle, PhiFunction, Rectangle
 from geodrev.geodesics import _STENCIL, _integrate_batch, _norm_batch, _norm_walk, _oracle
 from geodrev.metric import BASE_VARS, PHI_VAR
 from geodrev.reversibility import classify
@@ -28,6 +28,7 @@ from geodrev.scalarfield import (
     parse_expr,
 )
 
+from conftest import scan_table
 from test_cli import _expressions
 
 DOMAIN = Rectangle(-1.0, 1.0, -1.0, 1.0)
@@ -186,7 +187,7 @@ def test_the_program_is_built_once_per_bundle_and_only_by_geodesics():
     bundle = _bundle("0.1*x1*x2", "0.2", "0.1", "1 + s")
     bundle.validate()
     classify(bundle)
-    cli._scan_rows(bundle, "residual")
+    scan_table(bundle, "residual")
     assert bundle._oracle is None
     _integrate_batch(bundle, [(0.0, 0.0)], [(0.5, 0.0)], [0.01], 1e-3)
     oracle = bundle._oracle

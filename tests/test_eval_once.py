@@ -43,6 +43,7 @@ from conftest import (
     make_class_b_bundle,
     make_even_bundle,
     make_irreversible_bundle,
+    scan_table,
 )
 from oracles import ref_coord_data, ref_ecprinc, ref_frame_combine, ref_m_direct
 
@@ -248,7 +249,7 @@ def ref_write_validation_csv(path, bundle):
         except EvalDomainError:
             margin = np.full_like(s, float("nan"))
         rows.extend((float(sv), float(b), float(m)) for sv, m in zip(s, np.broadcast_to(margin, s.shape)))
-    cli.write_csv(path, ["s", "b", "ec1_margin"], np.array(rows))
+    cli.write_csv(path, ["s", "b", "ec1_margin"], [np.array(rows)])
 
 
 # ---------------------------------------------------------------------------
@@ -287,13 +288,13 @@ class TestBitwiseAgainstReference:
     @pytest.mark.parametrize("what", ["residual", "crosscheck"])
     def test_grid_scan_tables(self, name, sampling, what):
         bundle = witness(name, sampling)
-        _, table = cli._scan_rows(bundle, what)
+        _, table = scan_table(bundle, what)
         assert_same_bits(table, ref_table(bundle, what))
 
     @pytest.mark.parametrize("what", ["E", "F"])
     def test_profile_scan_table(self, name, sampling, what):
         bundle = witness(name, sampling)
-        _, table = cli._scan_rows(bundle, what)
+        _, table = scan_table(bundle, what)
         assert_same_bits(table, ref_table(bundle, "EF"))
 
     def test_classify_evidence(self, name, sampling):
@@ -487,6 +488,6 @@ def test_crosscheck_evaluates_one_ladder(validated, counts):
 
 @pytest.mark.parametrize("what", ["E", "F"])
 def test_profile_scan_evaluates_one_ladder(validated, counts, what):
-    cli._scan_rows(validated, what)
+    scan_table(validated, what)
     assert counts.profile_evals == LADDER_EVALS
     assert counts.evals == LADDER_EVALS

@@ -169,9 +169,11 @@ class TestValidationInBlocks:
 
     @pytest.mark.parametrize(
         "text, b0, n_s",
-        # rows 112 and up leave the domain of the first
+        # rows 112 and up leave the domain of the first; at n_s = 402, rows
+        # 223 and up, from inside the second of three blocks
         [
             ("sqrt(0.25 - s^2) + 1", 0.9, 201),
+            ("sqrt(0.25 - s^2) + 1", 0.9, 402),
             ("1/(1 - s)", 0.4, 64),
             ("1/(0.3 - s)", 0.9, 64),
             ("1 + s", 2e-320, 201),
@@ -183,12 +185,13 @@ class TestValidationInBlocks:
         header = ["s", "b", "ec1_margin"]
         with np.errstate(all="ignore"):
             table = ref_validation_table(bundle)
-            cli.write_csv(str(tmp_path / "want.csv"), header, table)
-            cli._write_validation_csv(str(tmp_path / "got.csv"), bundle)
+            cli.write_csv(str(tmp_path / "want.csv"), header, [table])
+            cli.write_csv(str(tmp_path / "got.csv"), header, metric._margin_blocks(bundle.phi, n_s))
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
         if text.startswith("sqrt"):
             nan_rows = np.isnan(table[:, 2]).reshape(n_s, n_s).all(axis=1)
-            assert nan_rows.tolist() == [False] * 112 + [True] * 89
+            first = {201: 112, 402: 223}[n_s]
+            assert nan_rows.tolist() == [False] * first + [True] * (n_s - first)
 
 
 class TestBuiltinFamilies:
