@@ -153,7 +153,7 @@ def write_csv(path: str, header: list[str], blocks) -> None:
 def cmd_validate(args, bundle: MetricBundle, cfg: ExperimentConfig) -> int:
     report = bundle.validate()
     print(report.as_text())
-    if args.out:
+    if args.out is not None:
         n = max(bundle.sampling.n_s, 64)
         write_csv(args.out, ["s", "b", "ec1_margin"], _margin_blocks(bundle.phi, n))
     return EXIT_OK if report.passed else EXIT_VALIDATION
@@ -248,6 +248,8 @@ def cmd_geodesic(args, bundle: MetricBundle, cfg: ExperimentConfig) -> int:
     for label, value in (("--T", T), ("--h", h)):
         if not 0.0 < value < math.inf:
             raise ConfigError(f"{label} must be a positive finite number, got {value}")
+    if T / h <= 0.5:  # _steps would round the run up to one whole step
+        raise ConfigError(f"T = {T} is at most half the step h = {h}: the geodesic would take no step")
 
     ((forward, backward, error),) = _probe(bundle, x0, [y0], T, h)
     rev = "_rev".join(os.path.splitext(args.out))  # "_rev" before the extension: g.csv -> g_rev.csv

@@ -212,7 +212,8 @@ def _coerce(key: str, value, line: int, kind: type):
         return number
     if isinstance(value, kind):
         return value
-    raise ConfigError(f"key {key!r} must be a {kind.__name__}", line)
+    wording = {int: "an integer", str: "a quoted string", float: "a number"}[kind]
+    raise ConfigError(f"key {key!r} must be {wording}", line)
 
 
 def parse_config(text: str) -> ExperimentConfig:

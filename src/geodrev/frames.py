@@ -28,10 +28,8 @@ from .reversibility import (
     _CoordData,
     _Fiber,
     _coord_data,
+    _criterion_at,
     _fiber,
-    _ladder,
-    _m_direct_from_point,
-    _residual_from_point,
     point_data,
 )
 
@@ -77,9 +75,7 @@ def crosscheck(bundle: MetricBundle, x, t) -> CrosscheckResult:
     phi' and phi'' at beta.
     """
     pd = point_data(bundle.form, bundle.metric, x[0], x[1])
-    fb = _fiber(pd, t)
-    ladder = _ladder(bundle.phi, fb.beta)
-    closed = _residual_from_point(pd, fb, ladder, _m_direct_from_point(pd, fb))
+    fb, ladder, _, closed = _criterion_at(pd, bundle.phi, t)
     cp = _coord_data(pd, fb, ladder.pp, ladder.d1p, ladder.d2p)
     direct = _ecprinc_from_point(pd, bundle.phi, t, fb, cp)
     scaled = pd.e_mnu * np.abs(np.asarray(closed, dtype=float))

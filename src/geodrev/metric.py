@@ -38,6 +38,21 @@ def zero_threshold(eps_zero: float, scale: float) -> float:
     return eps_zero * (1.0 + abs(scale))
 
 
+@dataclass(frozen=True)
+class ZeroTest:
+    max_abs: float
+    threshold: float
+    passed: bool
+
+
+def _zero_test(values, eps_zero: float, scale: Optional[float] = None) -> ZeroTest:
+    """Whether max |values| is zero to eps_zero at ``scale``, by default that
+    peak itself; values may also be the peak.  Never passes on inf or nan."""
+    peak = float(np.max(np.abs(values)))
+    thr = zero_threshold(eps_zero, peak if scale is None else scale)
+    return ZeroTest(peak, thr, peak <= thr < np.inf)
+
+
 # ---------------------------------------------------------------------------
 # Profile phi
 
@@ -264,7 +279,7 @@ def even_odd_decompose(
     ratios = (plus - minus) / grid  # twice the odd part over s
     spread = float(np.max(ratios) - np.min(ratios))
     scale = float(np.max(np.abs(ratios)))
-    constant = spread <= zero_threshold(eps_zero, scale) < np.inf
+    constant = _zero_test(spread, eps_zero, scale).passed
     k2 = float(np.mean(ratios)) if constant else None
     return EvenOddDecomposition(constant, k2)
 

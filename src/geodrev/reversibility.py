@@ -34,9 +34,9 @@ from .metric import (
     PhiFunction,
     _beta_pair,
     _row_blocks,
+    _zero_test,
     even_odd_decompose,
     sample_grid,
-    zero_threshold,
 )
 from .scalarfield import ExpressionError, _require_finite
 
@@ -201,11 +201,15 @@ def _m_direct_from_point(pd: PointData, fb: _Fiber):
 # The reversibility residual
 
 
-def _residual_from_point(pd: PointData, fb: _Fiber, ladder: _Ladder, m):
-    """The residual from the fiber, the profile ladder at its beta and M."""
+def _criterion_at(pd: PointData, phi: PhiFunction, t):
+    """The fiber at the angles t over pd's base points, phi's ladder at its
+    beta, M there and the residual beta_t*E*M + F*e^{-nu}*curl."""
+    fb = _fiber(pd, t)
+    ladder = _ladder(phi, fb.beta)
+    m = _m_direct_from_point(pd, fb)
     b = pd.e_mnu * np.hypot(pd.b1, pd.b2)
     curl = pd.db2_dx1 - pd.db1_dx2
-    return fb.beta_t * ladder.E() * m + ladder.F(b) * pd.e_mnu * curl
+    return fb, ladder, m, fb.beta_t * ladder.E() * m + ladder.F(b) * pd.e_mnu * curl
 
 
 def residual(bundle: MetricBundle, x, t):
@@ -216,8 +220,7 @@ def residual(bundle: MetricBundle, x, t):
     decisions (which use |residual|) are unaffected.
     """
     pd = point_data(bundle.form, bundle.metric, x[0], x[1])
-    fb = _fiber(pd, t)
-    return _residual_from_point(pd, fb, _ladder(bundle.phi, fb.beta), _m_direct_from_point(pd, fb))
+    return _criterion_at(pd, bundle.phi, t)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +238,6 @@ class Verdict(enum.Enum):
     TRIVIALLY_PROJECTIVELY_FLAT = "TriviallyProjectivelyFlat"
     IRREVERSIBLE = "Irreversible"
     UNDETERMINED = "Undetermined"
-
-
-@dataclass(frozen=True)
-class ZeroTest:
-    max_abs: float
-    threshold: float
-    passed: bool
 
 
 @dataclass(frozen=True)
@@ -269,24 +265,10 @@ class Classification:
         return "\n".join(lines)
 
 
-def _peak(values) -> float:
-    return float(np.max(np.abs(values)))
-
-
-def _zero_test(values, eps_zero: float) -> ZeroTest:
-    """Whether max |values| is zero to eps_zero; values may also be that peak itself."""
-    peak = _peak(values)
-    thr = zero_threshold(eps_zero, peak)
-    return ZeroTest(peak, thr, peak <= thr < np.inf)  # never on inf or nan
-
-
 def _fiber_evidence(pd: PointData, phi: PhiFunction, x1, x2, t):
     """M2, M and the residual at the angles t over pd's base points x, checked finite."""
-    fb = _fiber(pd, t)
-    m_values = _m_direct_from_point(pd, fb)
-    # phi, phi' and phi'' at beta serve the residual and the frame partials
-    beta_ladder = _ladder(phi, fb.beta)
-    residual_values = _residual_from_point(pd, fb, beta_ladder, m_values)
+    fb, beta_ladder, m_values, residual_values = _criterion_at(pd, phi, t)
+    # phi, phi' and phi'' at beta serve the frame partials too
     cd = _coord_data(pd, fb, beta_ladder.pp, beta_ladder.d1p, beta_ladder.d2p)
     m2_values = _p32(pd, fb, cd) - _p1(pd, fb, cd)
     # a product can overflow where its factors are finite; name it, not a verdict
@@ -315,7 +297,7 @@ def _fiber_peaks(pd: PointData, phi: PhiFunction, x1, x2, t) -> list:
         except ExpressionError:
             _fiber_evidence(pd, phi, x1, x2, t)
             raise
-        peaks = [max(p, _peak(v)) for p, v in zip(peaks, values)]
+        peaks = [max(p, float(np.max(np.abs(v)))) for p, v in zip(peaks, values)]
     return peaks
 
 
@@ -344,7 +326,6 @@ def classify(bundle: MetricBundle) -> Classification:
     b_scale = max(float(np.max(np.abs(pd.b1))), float(np.max(np.abs(pd.b2))))
     nu_variation = float(np.ptp(pd.nu))
     nu_scale = float(np.max(np.abs(pd.nu)))
-    b_thr, nu_thr = zero_threshold(eps0, b_scale), zero_threshold(eps0, nu_scale)
 
     m2_peak, m_peak, residual_peak = _fiber_peaks(pd, bundle.phi, X1, X2, t)
     _require_finite({"E": e_values, "even gap": even_gap}, {"s": s_grid})
@@ -355,8 +336,8 @@ def classify(bundle: MetricBundle) -> Classification:
         "E": _zero_test(e_values, eps0),
         "curl": _zero_test(curl_values, eps0),
         "M": _zero_test(m_peak, eps0),
-        "b_const": ZeroTest(b_variation, b_thr, b_variation <= b_thr < np.inf),
-        "nu_const": ZeroTest(nu_variation, nu_thr, nu_variation <= nu_thr < np.inf),
+        "b_const": _zero_test(b_variation, eps0, b_scale),
+        "nu_const": _zero_test(nu_variation, eps0, nu_scale),
         "residual": _zero_test(residual_peak, eps0),
     }
 

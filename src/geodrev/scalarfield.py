@@ -608,51 +608,6 @@ def diff_expr(e: Expr, name: str) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Pretty printing.  Output always reparses to an evaluation-equal AST.
-
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
-
-
-def _prec(e: Expr) -> int:
-    if isinstance(e, (Const, Var)):
-        return _PREC_ATOM
-    if isinstance(e, Unary):
-        return _PREC_NEG if e.op == "neg" else _PREC_ATOM
-    if isinstance(e, Power):
-        return _PREC_POW
-    return _PREC_ADD if e.op in "+-" else _PREC_MUL
-
-
-def to_text(e: Expr) -> str:
-    if isinstance(e, Const):
-        return repr(e.value) if e.value >= 0 else f"({e.value!r})"
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Unary):
-        if e.op == "neg":
-            inner = to_text(e.arg)
-            if _prec(e.arg) < _PREC_NEG:
-                inner = f"({inner})"
-            return f"-{inner}"
-        return f"{e.op}({to_text(e.arg)})"
-    if isinstance(e, Power):
-        base = to_text(e.base)
-        if _prec(e.base) < _PREC_ATOM:
-            base = f"({base})"
-        return f"{base}^{e.exponent}" if e.exponent >= 0 else f"{base}^({e.exponent})"
-    if isinstance(e, Binary):
-        lp, rp, mine = _prec(e.left), _prec(e.right), _prec(e)
-        left, right = to_text(e.left), to_text(e.right)
-        if lp < mine:
-            left = f"({left})"
-        # -, / are left-associative: the right operand needs parens at equal precedence
-        if rp < mine or (rp == mine and e.op in "-/"):
-            right = f"({right})"
-        return f"{left} {e.op} {right}"
-    raise ExpressionError(f"bad node {e!r}")
-
-
-# ---------------------------------------------------------------------------
 # ScalarField: an expression plus its declared variables.  Immutable; each
 # diff builds a new field, which the caller keeps.
 
@@ -690,4 +645,4 @@ class ScalarField:
         return ScalarField(diff_expr(self._expr, name), self._vars)
 
     def __repr__(self) -> str:
-        return f"ScalarField({to_text(self._expr)!r}, vars={self._vars})"
+        return f"ScalarField({self._expr!r}, vars={self._vars})"

@@ -267,6 +267,9 @@ class TestConfigParsing:
             ("eps_zero", "0", "eps_zero must be positive"),
             ("T", "-1.0", "T and h must be positive"),
             ("h", "0", "T and h must be positive"),
+            ("n_x1", "21.5", "key 'n_x1' must be an integer"),
+            ("nu", "0", "key 'nu' must be a quoted string"),
+            ("b0", '"0.4"', "key 'b0' must be a number"),
         ],
     )
     def test_out_of_range_value_names_its_line(self, tmp_path, capsys, key, value, message):
@@ -451,7 +454,7 @@ class TestScanCommand:
         assert code == 1
 
 
-@pytest.mark.parametrize(
+OUT_ARGVS = pytest.mark.parametrize(
     "argv",
     [
         ["validate", "--out"],
@@ -460,6 +463,9 @@ class TestScanCommand:
     ],
     ids=["validate", "scan", "geodesic"],
 )
+
+
+@OUT_ARGVS
 def test_unwritable_output_is_one_io_error(tmp_path, capsys, argv):
     path = "/nonexistent/x.csv"
     code = main([argv[0], write(tmp_path, CLASS_B_CONFIG), *argv[1:], path])
@@ -467,6 +473,16 @@ def test_unwritable_output_is_one_io_error(tmp_path, capsys, argv):
     assert code == 1
     assert err.startswith("i/o error:")
     assert path in err
+
+
+@OUT_ARGVS
+def test_empty_output_path_is_an_io_error(tmp_path, monkeypatch, capsys, argv):
+    # every command treats a given --out as a path, even an empty one
+    cfg = write(tmp_path, CLASS_B_CONFIG)
+    monkeypatch.chdir(tmp_path)
+    assert main([argv[0], cfg, *argv[1:], ""]) == 1
+    assert capsys.readouterr().err == "i/o error: [Errno 2] No such file or directory: ''\n"
+    assert os.listdir(tmp_path) == ["exp.cfg"]
 
 
 class TestFailedScanLeavesNoFile:
@@ -577,6 +593,10 @@ class TestGeodesicCommand:
             ("--T", "-1", "--T must be a positive finite number, got -1.0"),
             ("--h", "nan", "--h must be a positive finite number, got nan"),
             ("--h", "inf", "--h must be a positive finite number, got inf"),
+            # round(T/h) is 0: the run would take one whole step instead
+            ("--T", "0.0004", "T = 0.0004 is at most half the step h = 0.001: the geodesic would take no step"),
+            ("--T", "0.0005", "T = 0.0005 is at most half the step h = 0.001: the geodesic would take no step"),
+            ("--h", "10", "T = 1.0 is at most half the step h = 10.0: the geodesic would take no step"),
             ("--y0", "nan,0", "--y0 must be two finite numbers, got nan,0"),
             ("--y0", "inf,0", "--y0 must be two finite numbers, got inf,0"),
             ("--y0", "0,0", "--y0 must have a length in [1e-100, 1e100], got 0.0 for 0,0"),

@@ -28,11 +28,10 @@ from geodrev import (
     reversibility,
 )
 from geodrev.cli import main
-from geodrev.metric import Sampling, even_odd_decompose, zero_threshold
+from geodrev.metric import Sampling, ZeroTest, even_odd_decompose, zero_threshold
 from geodrev.reversibility import (
     InconsistentEvidenceError,
     Verdict,
-    ZeroTest,
     point_data,
 )
 from geodrev.scalarfield import EvalDomainError, ScalarField
@@ -313,9 +312,10 @@ class TestBitwiseAgainstReference:
         original_zero_test = reversibility._zero_test
         original_fiber_evidence = reversibility._fiber_evidence
 
-        def recording_zero_test(values, eps_zero):
-            seen.append(values)
-            return original_zero_test(values, eps_zero)
+        def recording_zero_test(values, eps_zero, scale=None):
+            if scale is None:  # b_const and nu_const test a variation at their own scale
+                seen.append(values)
+            return original_zero_test(values, eps_zero, scale)
 
         def recording_fiber_evidence(pd, phi, x1, x2, t):
             values = original_fiber_evidence(pd, phi, x1, x2, t)

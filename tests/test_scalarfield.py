@@ -23,7 +23,6 @@ from geodrev.scalarfield import (
     diff_expr,
     eval_expr,
     parse_expr,
-    to_text,
 )
 
 from conftest import (
@@ -199,36 +198,6 @@ def test_diff_is_linear(a, b, s):
     assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(lhs) + abs(rhs))
 
 
-@pytest.mark.parametrize(
-    "text,variables",
-    [
-        ("1 + s^2 - 0.3*s", ("s",)),
-        ("exp(s^2) - 0.5*s", ("s",)),
-        ("1/(1-s)", ("s",)),
-        ("-ln(1 + (x1^2 + x2^2)/4)", ("x1", "x2")),
-        ("sin(x1)*cos(x2) + sqrt(2 + x1)", ("x1", "x2")),
-        ("x1^(-2) + 2^3", ("x1",)),
-    ],
-)
-def test_parse_print_parse_round_trip(text, variables, rng):
-    f = ScalarField.parse(text, variables)
-    printed = to_text(f.expr)
-    g = ScalarField.parse(printed, variables)
-    for _ in range(100):
-        point = {v: float(rng.uniform(0.1, 0.7)) for v in variables}
-        left = f.eval(point)
-        right = g.eval(point)
-        assert abs(left - right) <= 1e-15 * (1.0 + abs(left))
-
-
-def test_derivative_round_trips_through_printer(rng):
-    f = ScalarField.parse("1/(1-s) + sin(s)*exp(s)", ("s",))
-    d2 = f.diff("s").diff("s")
-    g = ScalarField.parse(to_text(d2.expr), ("s",))
-    for s in rng.uniform(-0.6, 0.6, 50):
-        assert g(s=float(s)) == pytest.approx(d2(s=float(s)), rel=1e-14, abs=1e-14)
-
-
 class TestConstantFolding:
     """Constants fold to what Python's arithmetic returns; where it raises,
     the node is kept so that evaluation reports the error."""
@@ -263,7 +232,7 @@ class TestConstantFolding:
             assert d.expr == Const(slope)
             assert d(x1=0.5) == slope
         d = ScalarField.parse("x1^2/1e200", ("x1",)).diff("x1")
-        assert to_text(d.expr) == "2.0 * x1 * 1e+200 / 1e+200 / 1e+200"
+        assert d.expr == parse_expr("2.0 * x1 * 1e+200 / 1e+200 / 1e+200", ("x1",))
         assert d(x1=0.5) == pytest.approx(1e-200, rel=1e-15)
 
     def test_double_negation_cancels(self):
@@ -325,7 +294,7 @@ class TestOperationTable:
         }
         assert public == {
             "add", "const", "diff_expr", "div", "eval_expr", "func", "mul",
-            "neg", "parse_expr", "power", "sub", "to_text",
+            "neg", "parse_expr", "power", "sub",
         }
 
 
