@@ -39,16 +39,19 @@ EXIT_TRUNCATED = 3
 
 
 def _texts(keys: np.ndarray):
-    """The strings of a column of 64-bit patterns as %.17g, or None if no
-    value repeats.
+    """The strings of a column of 64-bit patterns as %.17g, or None if more
+    than half of its values are distinct.
 
     Each distinct value is formatted once.  Values are keyed by their 64-bit
     pattern, so 0.0 and -0.0, and nans of different sign or payload, keep
-    their own text.
+    their own text.  Deduplicating costs about 0.34 us per row (the sort,
+    the gather into strings and a %s pass), formatting 0.6-1.1 us per
+    distinct value, so once more than half the values are distinct, the
+    column is cheaper formatted as %.17g in row order, repeats and all.
     """
     ranked = np.sort(keys)
     first = np.concatenate(([True], ranked[1:] != ranked[:-1]))
-    if first.all():
+    if 2 * np.count_nonzero(first) > len(keys):
         return None
     distinct = ranked[first]
     text = ("\n".join(["%.17g"] * len(distinct)) % tuple(distinct.view(float).tolist())).split("\n")
@@ -81,7 +84,11 @@ def _grid_text(grid: np.ndarray) -> str:
     that are constant within every base point, as x1 and x2 are, is one
     placeholder in the template, filled once per base point.  The remaining
     columns are inserted row by row in one % pass over the block.  A block of
-    one base point bakes every column.
+    one base point bakes every column.  In each of the three, a column of
+    which at most half the values are distinct goes in as the texts of its
+    distinct values, each formatted once; any other column goes in as floats
+    for the pass to format, which costs less than deduplicating values that
+    barely repeat (see _texts).
     """
     nb, nt, width = grid.shape
     keys = grid.view(np.int64).transpose(2, 0, 1).copy()  # column, base point, angle

@@ -223,6 +223,9 @@ def _rk4_batch(rate, domain, x0s, y0s, Ts, h: float) -> list[GeodesicPath]:
     """
     if not 0.0 < h < math.inf or not all(0.0 < T < math.inf for T in Ts):
         raise ValueError("T and h must be positive and finite")
+    for T in Ts:
+        if T / h <= 0.5:  # _steps would round the run up to one whole step
+            raise ValueError(f"T = {T} is at most half the step h = {h}: the run would take no step")
     state = np.array(
         [[x0[0], x0[1], y0[0], y0[1]] for x0, y0 in zip(x0s, y0s)], dtype=float
     ).reshape(-1, 4)

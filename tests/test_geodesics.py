@@ -347,6 +347,18 @@ class TestBatchedEngine:
         with pytest.raises(SingularHessianError, match=r"at x=\(0\.3, -0\.4\), y=\(1\.0, 0\.0\)"):
             _integrate_batch(bundle, [(0.3, -0.4)] * 2, [(0.0, 1e99), (1.0, 0.0)], [0.1, 0.1], 1e-3)
 
+    @pytest.mark.parametrize("T", [0.0004, 0.0005])
+    def test_a_run_of_at_most_half_a_step_is_refused(self, irreversible_bundle, T):
+        # _steps would round it up to one whole step, 2.5 T for T = 0.0004
+        message = rf"^T = {T} is at most half the step h = 0.001: the run would take no step$"
+        with pytest.raises(ValueError, match=message):
+            geodesics._probe(irreversible_bundle, (0.0, 0.0), [(0.5, 0.0)], T, 1e-3)
+        with pytest.raises(ValueError, match=message):
+            reversibility_scan(irreversible_bundle, (0.0, 0.0), T, 1e-3, 4)
+        # just over half a step is one step
+        ((forward, _, _),) = geodesics._probe(irreversible_bundle, (0.0, 0.0), [(0.5, 0.0)], 0.00051, 1e-3)
+        assert len(forward.samples) == 2 and forward.duration == 1e-3
+
     def test_spray_batch_rows_equal_scalar_spray(self, class_a_bundle, rng):
         states = np.column_stack(
             [rng.uniform(-1, 1, 6), rng.uniform(-1, 1, 6), rng.uniform(-2, 2, 6), rng.uniform(0.2, 2, 6)]

@@ -374,14 +374,33 @@ VALUES = st.one_of(
     st.sampled_from(SPECIALS),
     st.builds(lambda m, e: m * 10.0**e, st.floats(-10.0, 10.0), st.integers(-300, 300)),
 )
-COLUMN_KINDS = ("constant", "sequence", "base", "few", "distinct")
+COLUMN_KINDS = ("constant", "sequence", "base", "few", "half", "mostly", "distinct")
+
+
+def distinct_values(rng, n):
+    """n values of distinct 64-bit patterns, the specials first."""
+    pool = np.concatenate((SPECIALS, rng.normal(size=n) * 10.0 ** rng.integers(-300, 301, size=n)))
+    _, first = np.unique(pool.view(np.int64), return_index=True)
+    return pool[np.sort(first)][:n]
+
+
+def written_blocks(n_base, n_t, width):
+    """The (base points, angles) slices of a grid that write_csv formats in
+    one _grid_text call each, when given grid_blocks of it."""
+    for bases in _row_blocks(n_base, n_t):
+        if len(range(n_base)[bases]) == 1:
+            yield from ((bases, angles) for angles in _row_blocks(n_t, width))
+        else:
+            yield bases, slice(None)
 
 
 @st.composite
 def grids(draw):
     """A (base points, angles, columns) grid whose columns are drawn as a
     constant, a sequence shared by every base point (as t), a value per base
-    point (as x1), a few values or only distinct values; then, optionally, a
+    point (as x1), a few values, n/2 or n/2 + 1 distinct values (rounded
+    down) in each block of n values that write_csv formats, about a quarter
+    of the values repeated, or only distinct values; then, optionally, a
     sequence that differs in one base point and a per-base-point value that
     changes inside one."""
     n_t = draw(st.sampled_from([1, 8, _BLOCK_VALUES + 3]))
@@ -403,6 +422,17 @@ def grids(draw):
             column = np.broadcast_to(rng.choice(SPECIALS + [0.3, 1e300], n_base)[:, None], shape)
         elif kind == "few":
             column = rng.choice(draw(st.lists(VALUES, min_size=1, max_size=4)), shape)
+        elif kind == "half":
+            column = np.empty(shape)
+            for block in written_blocks(n_base, n_t, len(kinds)):
+                n = column[block].size
+                values = distinct_values(rng, max(1, n // 2 + draw(st.integers(0, 1))))
+                column[block] = rng.permutation(np.resize(values, n)).reshape(column[block].shape)
+        elif kind == "mostly":
+            column = rng.permutation(distinct_values(rng, n_base * n_t))
+            repeats = rng.choice(column.size, column.size // 4, replace=False)
+            column[repeats] = column[rng.integers(0, column.size, len(repeats))]
+            column = column.reshape(shape)
         else:
             column = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 301, size=shape)
         columns.append(np.array(column, dtype=float))
@@ -423,3 +453,15 @@ def test_grid_bytes_equal_the_reference(tmp_path_factory, grid):
     rows = grid.reshape(-1, grid.shape[-1])
     want = csv_bytes(tmp_path, reference_write_csv, header, rows.tolist(), "want.csv")
     assert csv_bytes(tmp_path, cli.write_csv, header, grid_blocks(grid), "grid.csv") == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 1001])
+def test_texts_only_for_columns_at_most_half_distinct(n):
+    rng = np.random.default_rng(n)
+    for d in sorted({1, n // 2, n // 2 + 1, n} - {0}):
+        column = rng.permutation(np.resize(distinct_values(rng, d), n))
+        texts = cli._texts(column.view(np.int64))
+        if 2 * d > n:
+            assert texts is None
+        else:
+            assert texts.tolist() == ["%.17g" % v for v in column.tolist()]
