@@ -4,10 +4,13 @@ The spray coefficients G1, G2 come from nested central differences of the
 energy F^2, never from the symbolic pipeline, so trajectory-level checks
 are independent of the closed-form machinery they confirm.  One engine
 integrates every path: fixed-step RK4 that advances a batch of rows in
-lockstep, a single path being a batch of one.  One probe tests
-reversibility, for the direction fan and for the ``geodesic`` command
-alike: it runs a geodesic forward, relaunches it backward from the
-endpoint and measures the unparametrized distance between the two paths.
+lockstep, a single path being a batch of one.  Its rows travel as one flat
+list of Python floats; numpy computes only the speeds, the finite-difference
+stencil and the norm, and each step is stored in a preallocated float64
+trajectory.  One probe tests reversibility, for the direction fan and for
+the ``geodesic`` command alike: it runs a geodesic forward, relaunches it
+backward from the endpoint and measures the unparametrized distance
+between the two paths.
 """
 
 from __future__ import annotations
@@ -59,21 +62,28 @@ def _norm_walk(bundle: MetricBundle, x1, x2, y1, y2):
     return alpha * bundle.phi.phi(s=beta / alpha)
 
 
+def _norm_program(bundle: MetricBundle, each_power: bool = False):
+    """``_norm_walk`` as one straight-line program: its four trees share their
+    common subexpressions.  ``each_power`` is ``_Emitter.compile``'s."""
+    em = _Emitter(("x1", "x2", "y1", "y2"))
+    base = {"x1": "x1", "x2": "x2"}
+    # the walk's operations, in its order
+    nu = em.emit(bundle.metric.nu.expr, base)
+    alpha = em.binary("*", em.call(np.exp, nu), em.call(np.hypot, "y1", "y2"))
+    b1y1 = em.binary("*", em.emit(bundle.form.b1.expr, base), "y1")
+    beta = em.binary("+", b1y1, em.binary("*", em.emit(bundle.form.b2.expr, base), "y2"))
+    phi = em.emit(bundle.phi.phi.expr, {"s": em.binary("/", beta, alpha)})
+    return em.compile(em.binary("*", alpha, phi), each_power)
+
+
 class _Oracle:
-    """What the geodesic oracle computes once per bundle: ``_norm_walk`` as one
-    straight-line program (its four trees share their common subexpressions)
-    and the spray's base step hx."""
+    """What the geodesic oracle computes once per bundle: the norm program,
+    rebuilt once with ``each_power`` after a harmless overflow, and the
+    spray's base step hx."""
 
     def __init__(self, bundle: MetricBundle):
-        em = _Emitter(("x1", "x2", "y1", "y2"))
-        base = {"x1": "x1", "x2": "x2"}
-        # the walk's operations, in its order
-        nu = em.emit(bundle.metric.nu.expr, base)
-        alpha = em.binary("*", em.call(np.exp, nu), em.call(np.hypot, "y1", "y2"))
-        b1y1 = em.binary("*", em.emit(bundle.form.b1.expr, base), "y1")
-        beta = em.binary("+", b1y1, em.binary("*", em.emit(bundle.form.b2.expr, base), "y2"))
-        phi = em.emit(bundle.phi.phi.expr, {"s": em.binary("/", beta, alpha)})
-        self.norm = em.compile(em.binary("*", alpha, phi))
+        self.norm = _norm_program(bundle)
+        self.each_power = False
         self.hx = 1e-5 * max(1.0, bundle.metric.domain.extent)
 
 
@@ -87,11 +97,20 @@ def _oracle(bundle: MetricBundle) -> _Oracle:
 def _norm_batch(bundle: MetricBundle, x1, x2, y1, y2):
     """``_norm_walk`` through the bundle's compiled program: bitwise the same
     values.  Where a domain check or a power fails, or anything overflows,
-    the walk runs again and raises or returns what it always did."""
+    the walk runs again and raises or returns what it always did.  The first
+    overflow that the walk answers with values was harmless, an ``exp`` to
+    inf outside any power, say; the program is then rebuilt once, so that
+    only a power's own overflow makes the walk run again."""
+    oracle = _oracle(bundle)
     try:
-        return _oracle(bundle).norm(x1, x2, y1, y2)
-    except (_Fallback, FloatingPointError):
+        return oracle.norm(x1, x2, y1, y2)
+    except _Fallback:
         return _norm_walk(bundle, x1, x2, y1, y2)
+    except FloatingPointError:
+        values = _norm_walk(bundle, x1, x2, y1, y2)
+        if not oracle.each_power:
+            oracle.norm, oracle.each_power = _norm_program(bundle, each_power=True), True
+        return values
 
 
 # ---------------------------------------------------------------------------
@@ -116,23 +135,32 @@ for _k in (0, 1):
             _STENCIL[_row, _i] = _sy
             _row += 1
 del _row, _k, _i, _sx, _sy
+# The stencil as (29, 4) indices into a row's twelve values v + 0.0,
+# v + step, v - step for each of its coordinates v, in order
+_TAKE = 3 * np.arange(4) + np.where(_STENCIL == 1.0, 1, np.where(_STENCIL == -1.0, 2, 0))
 
 
-def _rates(bundle: MetricBundle, states: np.ndarray) -> np.ndarray:
-    """Geodesic flow (y1, y2, -2 G1, -2 G2) at each row (x1, x2, y1, y2) of ``states``.
+def _rates(bundle: MetricBundle, states: list) -> list:
+    """Geodesic flow (y1, y2, -2 G1, -2 G2) at each row (x1, x2, y1, y2) of
+    ``states``, a flat list of Python floats, four per row; the result is
+    laid out the same way.
 
-    One ``_norm_batch`` call evaluates F on the stencils of all rows.  The
-    Hessian and the 2x2 solve then run row by row on Python floats: for one
-    path or a fan of a few directions, that is cheaper than the same solve
-    spelled as dozens of small-array operations.  Rows never mix, so a row's
-    result does not depend on the batch it is in.  The lowest-index failing
-    row raises.
+    numpy computes the speeds, places the stencil points and, in one
+    ``_norm_batch`` call, evaluates F on the stencils of all rows.  A stencil
+    coordinate is v + s * step for s in {0, 1, -1}: for a positive finite
+    step, bitwise v + 0.0, v + step or v - step, which a row loop forms.
+    The Hessian and the 2x2 solve then run row by row on Python floats: for
+    one path or a fan of a few directions, that is cheaper than the same
+    solve spelled as dozens of small-array operations.  Rows never mix, so
+    a row's result does not depend on the batch it is in.  The lowest-index
+    failing row raises.
     """
-    speeds = np.hypot(states[:, 2], states[:, 3]).tolist()
+    table = np.array(states).reshape(-1, 4)
+    speeds = np.hypot(table[:, 2], table[:, 3]).tolist()
     low, high = 10.0**-SPEED_DECADES, 10.0**SPEED_DECADES
     for row, speed in enumerate(speeds):
         if speed < low or speed > high:
-            x1, x2, y1, y2 = states[row].tolist()
+            x1, x2, y1, y2 = states[4 * row : 4 * row + 4]
             raise EvalDomainError(
                 f"tangent vector length {speed} outside [1e-{SPEED_DECADES}, 1e{SPEED_DECADES}]"
                 f" at x=({x1}, {x2}), y=({y1}, {y2})"
@@ -140,13 +168,18 @@ def _rates(bundle: MetricBundle, states: np.ndarray) -> np.ndarray:
     hys = [1e-4 * speed for speed in speeds]
     hx = _oracle(bundle).hx
 
-    steps = np.array([(hx, hx, hy, hy) for hy in hys])
-    pts = (states[:, None, :] + _STENCIL * steps[:, None, :]).reshape(-1, 4)
+    values = iter(states)
+    rows = list(zip(values, values, values, values))
+    near = []
+    for (x1, x2, y1, y2), hy in zip(rows, hys):
+        near += (x1 + 0.0, x1 + hx, x1 - hx, x2 + 0.0, x2 + hx, x2 - hx,
+                 y1 + 0.0, y1 + hy, y1 - hy, y2 + 0.0, y2 + hy, y2 - hy)
+    pts = np.array(near).reshape(-1, 12).take(_TAKE, axis=1).reshape(-1, 4)
     norms = _norm_batch(bundle, pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3])
-    energies = (norms * norms).reshape(len(states), len(_STENCIL))
+    energies = (norms * norms).reshape(len(rows), len(_STENCIL))
 
     rates = []
-    for (x1, x2, y1, y2), hy, L in zip(states.tolist(), hys, energies.tolist()):
+    for (x1, x2, y1, y2), hy, L in zip(rows, hys, energies.tolist()):
         # Python's float power is libm pow(hy, 2), which need not equal hy * hy.
         hy_sq = hy**2
         h11 = (L[1] - 2.0 * L[0] + L[2]) / hy_sq
@@ -174,12 +207,14 @@ def _rates(bundle: MetricBundle, states: np.ndarray) -> np.ndarray:
         rhs2 = m12 * y1 + m22 * y2 - lx2
         two_g1 = (h22 * rhs1 - h12 * rhs2) / det
         two_g2 = (h11 * rhs2 - h12 * rhs1) / det
-        rates.append((y1, y2, -two_g1, -two_g2))
-    return np.array(rates)
+        rates += (y1, y2, -two_g1, -two_g2)
+    return rates
 
 
 # ---------------------------------------------------------------------------
-# Fixed-step 4th order integration
+# Fixed-step 4th order integration on flat lists of Python floats.  Each
+# operation is one IEEE double operation in numpy's order for the same
+# expression on arrays, so the states are bitwise those of an array engine.
 
 
 def _steps(T: float, h: float) -> int:
@@ -187,25 +222,31 @@ def _steps(T: float, h: float) -> int:
     return max(1, int(round(T / h)))
 
 
-def _rk4_step(rate, state: np.ndarray, h: float) -> np.ndarray:
+def _rk4_step(rate, state: list, h: float) -> list:
     """One classical RK4 step of every row of ``state``."""
+    half = 0.5 * h
     k1 = rate(state)
-    k2 = rate(state + 0.5 * h * k1)
-    k3 = rate(state + 0.5 * h * k2)
-    k4 = rate(state + h * k3)
-    return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = rate([x + half * k for x, k in zip(state, k1)])
+    k3 = rate([x + half * k for x, k in zip(state, k2)])
+    k4 = rate([x + h * k for x, k in zip(state, k3)])
+    sixth = h / 6.0
+    return [
+        x + sixth * (((a + 2.0 * b) + 2.0 * c) + d)
+        for x, a, b, c, d in zip(state, k1, k2, k3, k4)
+    ]
 
 
-def _fails_outside(rate, domain, state: np.ndarray, h: float) -> bool:
+def _fails_outside(rate, domain, state: list, h: float) -> bool:
     """Whether the RK4 step of the one row ``state`` first fails at a stage
     k2, k3 or k4 whose point is finite and outside the domain rectangle."""
     k = rate(state)
     for c in (0.5, 0.5, 1.0):
-        point = state + c * h * k
+        ch = c * h
+        point = [x + ch * kk for x, kk in zip(state, k)]
         try:
             k = rate(point)
         except (SingularHessianError, EvalDomainError):
-            x1, x2 = point[0, :2].tolist()
+            x1, x2 = point[0], point[1]
             return math.isfinite(x1) and math.isfinite(x2) and not domain.contains(x1, x2)
     return False
 
@@ -213,73 +254,87 @@ def _fails_outside(rate, domain, state: np.ndarray, h: float) -> bool:
 def _rk4_batch(rate, domain, x0s, y0s, Ts, h: float) -> list[GeodesicPath]:
     """Fixed-step RK4 paths from every (x0, y0) for its duration T, in lockstep.
 
-    ``rate`` maps the live rows (x1, x2, y1, y2) to their (N, 4) derivatives.
-    A row runs ``_steps(T, h)`` steps, or stops at the first step that leaves
-    the domain, and then drops out of the batch.  A row whose step fails at
-    an RK4 stage outside the domain, as a fast start's first step can, ends
-    at its previous step, truncated, and the step runs again for the other
-    rows; the rows are found one at a time only after such a failure.  A
-    failure at a stage inside the domain raises.
+    The live rows travel as one flat list of Python floats, (x1, x2, y1, y2)
+    per row, and ``rate`` maps such a list to the rows' derivatives, laid
+    out the same way.  Each step is written into one preallocated float64
+    trajectory, a column block of four per row.  A row runs ``_steps(T, h)``
+    steps, or stops at the first step that leaves the domain, and then drops
+    out of the batch.  A row whose step fails at an RK4 stage outside the
+    domain, as a fast start's first step can, ends at its previous step,
+    truncated, and the step runs again for the other rows; the rows are
+    found one at a time only after such a failure.  A failure at a stage
+    inside the domain raises.
     """
     if not 0.0 < h < math.inf or not all(0.0 < T < math.inf for T in Ts):
         raise ValueError("T and h must be positive and finite")
     for T in Ts:
         if T / h <= 0.5:  # _steps would round the run up to one whole step
             raise ValueError(f"T = {T} is at most half the step h = {h}: the run would take no step")
-    state = np.array(
-        [[x0[0], x0[1], y0[0], y0[1]] for x0, y0 in zip(x0s, y0s)], dtype=float
-    ).reshape(-1, 4)
-    rows = len(state)
+    state = [float(v) for x0, y0 in zip(x0s, y0s) for v in (x0[0], x0[1], y0[0], y0[1])]
+    rows = len(state) // 4
     try:
         n_steps = [_steps(T, h) for T in Ts]
-        traj = np.empty((rows, max(n_steps, default=0) + 1, 4))
+        traj = np.empty((max(n_steps, default=0) + 1, 4 * rows))
     except (OverflowError, ValueError, MemoryError):
         raise PathTooLongError(
             f"cannot allocate the trajectory of a run of {max(Ts) / h:.6g} steps"
         ) from None
-    traj[:, 0] = state
-    n_steps = np.array(n_steps)
-    counts = np.zeros(rows, dtype=int)
-    truncated = np.zeros(rows, dtype=bool)
-    live = np.arange(rows)
+    traj[0] = state
+    counts = [0] * rows
+    truncated = [False] * rows
+    live = list(range(rows))
+    columns = slice(None)  # the trajectory columns of the live rows
 
     step = 0
-    while live.size:
+    while live:
         try:
             state_next = _rk4_step(rate, state, h)
         except (SingularHessianError, EvalDomainError):
-            gone = np.array([_fails_outside(rate, domain, row[None], h) for row in state])
-            if not gone.any():
+            gone = [_fails_outside(rate, domain, state[j : j + 4], h) for j in range(0, len(state), 4)]
+            if not any(gone):
                 raise
-            counts[live[gone]] = step
-            truncated[live[gone]] = True
-            live, state = live[~gone], state[~gone]
+            for i, out in zip(live, gone):
+                if out:
+                    counts[i], truncated[i] = step, True
+            live, state, columns = _keep(live, state, gone)
             continue
-        state = state_next
+        previous, state = state, state_next
         step += 1
-        traj[live, step] = state
-        inside = domain.contains(state[:, 0], state[:, 1])
-        done = ~inside | (n_steps[live] <= step)
-        if done.any():
+        traj[step, columns] = state
+        inside = [domain.contains(state[j], state[j + 1]) for j in range(0, len(state), 4)]
+        done = [not ok or n_steps[i] <= step for i, ok in zip(live, inside)]
+        if any(done):
             # A non-finite state is never inside.  An overflowing or nan flow
             # is no exit from the domain: name the first such row's last
             # finite state.
-            finite = np.isfinite(state).all(axis=1)
-            if not finite.all():
-                x1, x2, y1, y2 = traj[live[finite.argmin()], step - 1].tolist()
+            if not all(map(math.isfinite, state)):
+                j = next(n for n, v in enumerate(state) if not math.isfinite(v)) // 4
+                x1, x2, y1, y2 = previous[4 * j : 4 * j + 4]
                 raise EvalDomainError(
                     f"geodesic flow is not finite at x=({x1}, {x2}), y=({y1}, {y2})"
                 )
-            # a row that left the domain keeps the steps before this one
-            left = live[~inside]
-            counts[live[done]] = step
-            counts[left] = step - 1
-            truncated[left] = True
-            live, state = live[~done], state[~done]
+            for i, ok, out in zip(live, inside, done):
+                if not ok:  # a row that left the domain keeps the steps before this one
+                    counts[i], truncated[i] = step - 1, True
+                elif out:
+                    counts[i] = step
+            live, state, columns = _keep(live, state, done)
     return [
-        GeodesicPath(traj[i, : c + 1, :2].copy(), traj[i, : c + 1, 2:].copy(), h, c * h, t)
-        for i, (c, t) in enumerate(zip(counts.tolist(), truncated.tolist()))
+        GeodesicPath(
+            traj[: c + 1, 4 * i : 4 * i + 2].copy(), traj[: c + 1, 4 * i + 2 : 4 * i + 4].copy(), h, c * h, t
+        )
+        for i, (c, t) in enumerate(zip(counts, truncated))
     ]
+
+
+def _keep(live: list, state: list, drop: list):
+    """The live rows, their states and their trajectory columns, without the
+    rows that ``drop`` marks."""
+    kept = [j for j, out in enumerate(drop) if not out]
+    live = [live[j] for j in kept]
+    state = [v for j in kept for v in state[4 * j : 4 * j + 4]]
+    columns = np.array([4 * i + c for i in live for c in range(4)], dtype=np.intp)
+    return live, state, columns
 
 
 def _integrate_batch(bundle: MetricBundle, x0s, y0s, Ts, h: float) -> list[GeodesicPath]:

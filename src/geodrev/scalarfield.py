@@ -500,7 +500,7 @@ class _Emitter:
         self.scope.update((op, row.evaluate) for op, row in _UNARY.items())
         self._names: dict = {}    # key of a bound object -> its name in scope
         self._regs: dict = {}     # (kind, op, operand registers) -> register
-        self._power = False
+        self._powers: set = set()  # indices of the lines that raise to a power
 
     def _bind(self, key, value) -> str:
         name = self._names.get(key)
@@ -557,12 +557,14 @@ class _Emitter:
         elif isinstance(e, Power):
             a = self.emit(e.base, env, memo)
             k = int(e.exponent)
-            self._power = True
+            lines = len(self.lines)
             if k >= 0:
                 reg = self._assign(("pow", k, a), f"power({a}, {k})")
             else:
                 check = f"if (asarray({a}) == 0.0).any(): raise _Fallback"
                 reg = self._assign(("pow", k, a), f"1.0 / power({a}, {-k})", check)
+            if len(self.lines) > lines:
+                self._powers.add(len(self.lines) - 1)
         elif isinstance(e, Unary):
             row = _UNARY[e.op]
             a = self.emit(e.arg, env, memo)
@@ -573,15 +575,20 @@ class _Emitter:
         memo[id(e)] = reg
         return reg
 
-    def compile(self, result: str) -> Callable:
+    def compile(self, result: str, each_power: bool = False) -> Callable:
         """The function of ``params`` that runs every emitted line and returns ``result``.
 
         With a power in it, the whole body runs under one
         ``np.errstate(over="raise")``: an overflow anywhere raises
         FloatingPointError, and the walk tells a failing power from a
-        harmless overflow."""
+        harmless overflow.  With ``each_power``, each power line runs under
+        its own errstate, as in the walk, and an overflow elsewhere gives
+        the walk's inf; that costs an errstate per power on every call."""
         body = [*self.lines, f"return {result}"]
-        if self._power:
+        if each_power:
+            raising = 'with errstate(over="raise"): '
+            body = [raising + line if i in self._powers else line for i, line in enumerate(body)]
+        elif self._powers:
             body = ['with errstate(over="raise"):', *(f"    {line}" for line in body)]
         source = "".join(f"    {line}\n" for line in body)
         exec(compile(f"def program({', '.join(self.params)}):\n{source}", "<program>", "exec"), self.scope)

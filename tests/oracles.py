@@ -5,16 +5,31 @@ with it: the structure equations of the circle-bundle coframe, the Gauss
 curvature, the base PDE system, and the directional derivatives of
 p = phi(beta) along the dual frame, in closed form and by central
 differences.  The ref_* functions are earlier versions of product code
-that evaluated the same quantities more than once; the product must match
-them bit for bit.
+that evaluated the same quantities more than once, or, as the reference
+RK4 engine does, on another data layout; the product must match them bit
+for bit.
 """
 
+import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
-from geodrev.geodesics import GeodesicPath, _integrate_batch, _norm_batch, _probe, _rates, _rk4_batch
+from geodrev.geodesics import (
+    _STENCIL,
+    SPEED_DECADES,
+    GeodesicPath,
+    PathTooLongError,
+    SingularHessianError,
+    _integrate_batch,
+    _norm_batch,
+    _oracle,
+    _probe,
+    _rates,
+    _rk4_batch,
+    _steps,
+)
 from geodrev.metric import (
     PHI_VAR,
     IsothermalMetric,
@@ -174,13 +189,13 @@ def riemann_geodesic(metric: IsothermalMetric, x0, y0, T: float, h: float) -> Ge
     nu1, nu2 = metric.nu1, metric.nu2
 
     def rate(z):
-        x1, x2, y1, y2 = z.T
+        x1, x2, y1, y2 = np.reshape(z, (-1, 4)).T
         env = {"x1": x1, "x2": x2}
         n1 = nu1.eval(env)
         n2 = nu2.eval(env)
         a1 = -(n1 * y1 * y1 + 2.0 * n2 * y1 * y2 - n1 * y2 * y2)
         a2 = -(-n2 * y1 * y1 + 2.0 * n1 * y1 * y2 + n2 * y2 * y2)
-        return np.column_stack((y1, y2, a1, a2))
+        return np.column_stack((y1, y2, a1, a2)).ravel().tolist()
 
     return _rk4_batch(rate, metric.domain, [x0], [y0], [T], h)[0]
 
@@ -206,7 +221,7 @@ def finsler_norm(bundle: MetricBundle, x, y) -> float:
 
 def spray(bundle: MetricBundle, x, y):
     """(G1, G2) of x'' = -2 G(x, x') at one point: one row of the flow."""
-    _, _, a1, a2 = _rates(bundle, np.array([[x[0], x[1], y[0], y[1]]], dtype=float))[0].tolist()
+    _, _, a1, a2 = _rates(bundle, [float(x[0]), float(x[1]), float(y[0]), float(y[1])])
     return -0.5 * a1, -0.5 * a2
 
 
@@ -218,6 +233,171 @@ def integrate(bundle: MetricBundle, x0, y0, T: float, h: float) -> GeodesicPath:
 def reversibility_error(bundle: MetricBundle, x0, y0, T: float, h: float) -> float:
     """The probe's error along one direction, as the geodesic command runs it."""
     return _probe(bundle, x0, [y0], T, h)[0][2]
+
+
+# ---------------------------------------------------------------------------
+# Reference RK4 engine: the array version that advanced (N, 4) arrays of
+# states, before the engine carried its rows as flat lists of Python floats.
+
+
+def ref_rates(bundle: MetricBundle, states: np.ndarray) -> np.ndarray:
+    """Geodesic flow (y1, y2, -2 G1, -2 G2) at each row (x1, x2, y1, y2) of ``states``.
+
+    One ``_norm_batch`` call evaluates F on the stencils of all rows.  The
+    Hessian and the 2x2 solve then run row by row on Python floats: for one
+    path or a fan of a few directions, that is cheaper than the same solve
+    spelled as dozens of small-array operations.  Rows never mix, so a row's
+    result does not depend on the batch it is in.  The lowest-index failing
+    row raises.
+    """
+    speeds = np.hypot(states[:, 2], states[:, 3]).tolist()
+    low, high = 10.0**-SPEED_DECADES, 10.0**SPEED_DECADES
+    for row, speed in enumerate(speeds):
+        if speed < low or speed > high:
+            x1, x2, y1, y2 = states[row].tolist()
+            raise EvalDomainError(
+                f"tangent vector length {speed} outside [1e-{SPEED_DECADES}, 1e{SPEED_DECADES}]"
+                f" at x=({x1}, {x2}), y=({y1}, {y2})"
+            )
+    hys = [1e-4 * speed for speed in speeds]
+    hx = _oracle(bundle).hx
+
+    steps = np.array([(hx, hx, hy, hy) for hy in hys])
+    pts = (states[:, None, :] + _STENCIL * steps[:, None, :]).reshape(-1, 4)
+    norms = _norm_batch(bundle, pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3])
+    energies = (norms * norms).reshape(len(states), len(_STENCIL))
+
+    rates = []
+    for (x1, x2, y1, y2), hy, L in zip(states.tolist(), hys, energies.tolist()):
+        # Python's float power is libm pow(hy, 2), which need not equal hy * hy.
+        hy_sq = hy**2
+        h11 = (L[1] - 2.0 * L[0] + L[2]) / hy_sq
+        h22 = (L[3] - 2.0 * L[0] + L[4]) / hy_sq
+        h12 = (L[5] - L[6] - L[7] + L[8]) / (4.0 * hy_sq)
+        det = h11 * h22 - h12 * h12
+        if h11 <= 0.0 or det <= 0.0:
+            # A 0 or non-finite F^2 is an underflow or overflow, not a
+            # Hessian of a structure that fails to be Finsler.
+            if 0.0 in L or not all(map(math.isfinite, L)):
+                raise EvalDomainError(
+                    f"F^2 underflows to 0 or is not finite near x=({x1}, {x2}), y=({y1}, {y2})"
+                )
+            raise SingularHessianError(
+                f"fiber Hessian of F^2 not positive definite at x=({x1}, {x2}), y=({y1}, {y2})"
+            )
+        lx1 = (L[9] - L[10]) / (2.0 * hx)
+        lx2 = (L[11] - L[12]) / (2.0 * hx)
+        scale = 4.0 * hx * hy
+        m11 = (L[13] - L[14] - L[15] + L[16]) / scale  # d2L/dx1 dy1
+        m12 = (L[17] - L[18] - L[19] + L[20]) / scale  # d2L/dx1 dy2
+        m21 = (L[21] - L[22] - L[23] + L[24]) / scale  # d2L/dx2 dy1
+        m22 = (L[25] - L[26] - L[27] + L[28]) / scale  # d2L/dx2 dy2
+        rhs1 = m11 * y1 + m21 * y2 - lx1
+        rhs2 = m12 * y1 + m22 * y2 - lx2
+        two_g1 = (h22 * rhs1 - h12 * rhs2) / det
+        two_g2 = (h11 * rhs2 - h12 * rhs1) / det
+        rates.append((y1, y2, -two_g1, -two_g2))
+    return np.array(rates)
+
+
+def ref_rk4_step(rate, state: np.ndarray, h: float) -> np.ndarray:
+    """One classical RK4 step of every row of ``state``."""
+    k1 = rate(state)
+    k2 = rate(state + 0.5 * h * k1)
+    k3 = rate(state + 0.5 * h * k2)
+    k4 = rate(state + h * k3)
+    return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def ref_fails_outside(rate, domain, state: np.ndarray, h: float) -> bool:
+    """Whether the RK4 step of the one row ``state`` first fails at a stage
+    k2, k3 or k4 whose point is finite and outside the domain rectangle."""
+    k = rate(state)
+    for c in (0.5, 0.5, 1.0):
+        point = state + c * h * k
+        try:
+            k = rate(point)
+        except (SingularHessianError, EvalDomainError):
+            x1, x2 = point[0, :2].tolist()
+            return math.isfinite(x1) and math.isfinite(x2) and not domain.contains(x1, x2)
+    return False
+
+
+def ref_rk4_batch(rate, domain, x0s, y0s, Ts, h: float) -> list[GeodesicPath]:
+    """Fixed-step RK4 paths from every (x0, y0) for its duration T, in lockstep.
+
+    ``rate`` maps the live rows (x1, x2, y1, y2) to their (N, 4) derivatives.
+    A row runs ``_steps(T, h)`` steps, or stops at the first step that leaves
+    the domain, and then drops out of the batch.  A row whose step fails at
+    an RK4 stage outside the domain, as a fast start's first step can, ends
+    at its previous step, truncated, and the step runs again for the other
+    rows; the rows are found one at a time only after such a failure.  A
+    failure at a stage inside the domain raises.
+    """
+    if not 0.0 < h < math.inf or not all(0.0 < T < math.inf for T in Ts):
+        raise ValueError("T and h must be positive and finite")
+    for T in Ts:
+        if T / h <= 0.5:  # _steps would round the run up to one whole step
+            raise ValueError(f"T = {T} is at most half the step h = {h}: the run would take no step")
+    state = np.array(
+        [[x0[0], x0[1], y0[0], y0[1]] for x0, y0 in zip(x0s, y0s)], dtype=float
+    ).reshape(-1, 4)
+    rows = len(state)
+    try:
+        n_steps = [_steps(T, h) for T in Ts]
+        traj = np.empty((rows, max(n_steps, default=0) + 1, 4))
+    except (OverflowError, ValueError, MemoryError):
+        raise PathTooLongError(
+            f"cannot allocate the trajectory of a run of {max(Ts) / h:.6g} steps"
+        ) from None
+    traj[:, 0] = state
+    n_steps = np.array(n_steps)
+    counts = np.zeros(rows, dtype=int)
+    truncated = np.zeros(rows, dtype=bool)
+    live = np.arange(rows)
+
+    step = 0
+    while live.size:
+        try:
+            state_next = ref_rk4_step(rate, state, h)
+        except (SingularHessianError, EvalDomainError):
+            gone = np.array([ref_fails_outside(rate, domain, row[None], h) for row in state])
+            if not gone.any():
+                raise
+            counts[live[gone]] = step
+            truncated[live[gone]] = True
+            live, state = live[~gone], state[~gone]
+            continue
+        state = state_next
+        step += 1
+        traj[live, step] = state
+        inside = domain.contains(state[:, 0], state[:, 1])
+        done = ~inside | (n_steps[live] <= step)
+        if done.any():
+            # A non-finite state is never inside.  An overflowing or nan flow
+            # is no exit from the domain: name the first such row's last
+            # finite state.
+            finite = np.isfinite(state).all(axis=1)
+            if not finite.all():
+                x1, x2, y1, y2 = traj[live[finite.argmin()], step - 1].tolist()
+                raise EvalDomainError(
+                    f"geodesic flow is not finite at x=({x1}, {x2}), y=({y1}, {y2})"
+                )
+            # a row that left the domain keeps the steps before this one
+            left = live[~inside]
+            counts[live[done]] = step
+            counts[left] = step - 1
+            truncated[left] = True
+            live, state = live[~done], state[~done]
+    return [
+        GeodesicPath(traj[i, : c + 1, :2].copy(), traj[i, : c + 1, 2:].copy(), h, c * h, t)
+        for i, (c, t) in enumerate(zip(counts.tolist(), truncated.tolist()))
+    ]
+
+
+def ref_integrate_batch(bundle: MetricBundle, x0s, y0s, Ts, h: float) -> list[GeodesicPath]:
+    """``_integrate_batch`` on the reference engine."""
+    return ref_rk4_batch(lambda z: ref_rates(bundle, z), bundle.metric.domain, x0s, y0s, Ts, h)
 
 
 # ---------------------------------------------------------------------------

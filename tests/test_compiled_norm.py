@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geodrev import IsothermalMetric, LinearForm, MetricBundle, PhiFunction, Rectangle
+from geodrev import IsothermalMetric, LinearForm, MetricBundle, PhiFunction, Rectangle, geodesics
 from geodrev.geodesics import _STENCIL, _integrate_batch, _norm_batch, _norm_walk, _oracle
 from geodrev.metric import BASE_VARS, PHI_VAR
 from geodrev.reversibility import classify
@@ -29,6 +29,7 @@ from geodrev.scalarfield import (
 )
 
 from conftest import scan_table
+from oracles import reversibility_error
 from test_cli import _expressions
 
 DOMAIN = Rectangle(-1.0, 1.0, -1.0, 1.0)
@@ -142,6 +143,61 @@ def test_an_overflowing_exp_returns_the_walks_inf():
         values = _norm_batch(bundle, *columns)
         assert values.tobytes() == _norm_walk(bundle, *columns).tobytes()
     assert np.isinf(values).any() and not np.isnan(values).any()
+
+
+def _harmless_overflow_bundle(nu="0.1*x2^2") -> MetricBundle:
+    # exp(800*x1) overflows past x1 ~ 0.887, harmlessly: x1/inf = 0
+    b1 = "0.1 + 0.1*x1/exp(800*x1)"
+    return _bundle(nu, b1, "0.1", PhiFunction.randers(0.9).phi.expr)
+
+
+def _count_walks(monkeypatch) -> list:
+    calls = []
+    walk = geodesics._norm_walk
+
+    def counted(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(geodesics, "_norm_walk", counted)
+    return calls
+
+
+def test_a_harmless_overflow_rebuilds_the_program_once(monkeypatch):
+    # exp(800*x1) overflows on every stencil past x1 ~ 0.887: with the whole
+    # program under one errstate, each of the probe's 402 norm calls would
+    # run the walk as well.
+    bundle = _harmless_overflow_bundle()
+    walks = _count_walks(monkeypatch)
+    with np.errstate(over="ignore"):
+        error = reversibility_error(bundle, (0.95, 0.0), (0.0, 0.5), 0.05, 1e-3)
+    assert error == 2.0630709753266382e-09
+    assert len(walks) <= 1
+    assert _oracle(bundle).each_power
+
+
+def test_a_bundle_that_never_overflows_keeps_its_program():
+    bundle = _bundle("0.1*x2^2", "0.2", "0.1", "1 + s")
+    program = _oracle(bundle).norm
+    _integrate_batch(bundle, [(0.0, 0.0)], [(0.5, 0.0)], [0.01], 1e-3)
+    assert _oracle(bundle).norm is program and not _oracle(bundle).each_power
+
+
+def test_a_power_that_overflows_after_the_rebuild_names_the_walks_point(monkeypatch):
+    # (1e10*x2)^40 overflows near x2 = 0.9 and is finite near x2 = 0
+    bundle = _harmless_overflow_bundle("0.1*x2^2 + 1e-300*(1e10*x2)^40")
+    x1, x2, y1, y2 = _stencil_columns(1)
+    with np.errstate(over="ignore"):
+        first = _norm_batch(bundle, x1 + 0.95, x2, y1, y2)
+        assert first.tobytes() == _norm_walk(bundle, x1 + 0.95, x2, y1, y2).tobytes()
+        program = _oracle(bundle).norm
+        assert _oracle(bundle).each_power
+        walks = _count_walks(monkeypatch)
+        kind, text = _assert_program_matches_walk(bundle, (x1 + 0.95, x2 + 0.9, y1, y2))
+        assert _oracle(bundle).norm is program  # rebuilt once, on the first overflow
+    assert kind is EvalDomainError
+    assert text.startswith("integer power overflows at x1=0.95")
+    assert len(walks) == 1  # _norm_batch ran the walk, which named the point
 
 
 @pytest.mark.parametrize("nu", ["0", "0.3", "-2.5", "1e-300", "700", "800", "-800"])

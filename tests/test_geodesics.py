@@ -22,11 +22,14 @@ from geodrev import (
     reversibility_scan,
 )
 from geodrev import geodesics
-from geodrev.geodesics import _integrate_batch, _points_to_polyline, _rates, path_prefix
+from geodrev.geodesics import _integrate_batch, _points_to_polyline, _rates, _rk4_batch, path_prefix
+from geodrev.scalarfield import EvalDomainError
 from oracles import (
     finsler_norm,
     integrate,
+    ref_integrate_batch,
     ref_points_to_polyline,
+    ref_rk4_batch,
     reversibility_error,
     riemann_geodesic,
     spray,
@@ -363,10 +366,11 @@ class TestBatchedEngine:
         states = np.column_stack(
             [rng.uniform(-1, 1, 6), rng.uniform(-1, 1, 6), rng.uniform(-2, 2, 6), rng.uniform(0.2, 2, 6)]
         )
-        rates = _rates(class_a_bundle, states)
-        for row, rate in zip(states, rates):
+        rates = _rates(class_a_bundle, states.ravel().tolist())
+        assert len(rates) == states.size
+        for i, row in enumerate(states.tolist()):
             g1, g2 = spray(class_a_bundle, row[:2], row[2:])
-            assert rate.tolist() == [row[2], row[3], -2.0 * g1, -2.0 * g2]
+            assert rates[4 * i : 4 * i + 4] == [row[2], row[3], -2.0 * g1, -2.0 * g2]
 
     def test_spray_batch_names_lowest_failing_row(self):
         metric = IsothermalMetric.from_text("0", Rectangle(-1, 1, -1, 1))
@@ -377,13 +381,13 @@ class TestBatchedEngine:
         with pytest.raises(SingularHessianError) as one_row:
             spray(bundle, states[1, :2], states[1, 2:])
         with pytest.raises(SingularHessianError) as batched:
-            _rates(bundle, states)
+            _rates(bundle, states.ravel().tolist())
         assert str(batched.value) == str(one_row.value)
         assert "x=(0.3, -0.4), y=(1.0, 0.0)" in str(batched.value)
 
     def test_spray_batch_rejects_zero_vector(self, class_b_bundle):
         with pytest.raises(ValueError):
-            _rates(class_b_bundle, np.array([[0.0, 0.0, 1.0, 0.0], [0.1, 0.1, 0.0, 0.0]]))
+            _rates(class_b_bundle, [0.0, 0.0, 1.0, 0.0, 0.1, 0.1, 0.0, 0.0])
 
     def test_prefix_equals_shorter_run(self, irreversible_bundle):
         x0, y0, h = (0.6, 0.0), (1.0, 0.1), 1e-3
@@ -395,6 +399,80 @@ class TestBatchedEngine:
         done = integrate(irreversible_bundle, x0, y0, 0.1, h)
         with pytest.raises(ValueError):
             path_prefix(done, 0.2)
+
+
+# Starts for the engine comparison: (x0, y0, T).  Mixed durations; the
+# third leaves the domain after ~0.1, the fifth at its first step, and the
+# two fast starts fail at an RK4 stage far outside it.
+ENGINE_STARTS = [
+    ((0.0, 0.0), (1.0, 0.3), 0.3),
+    ((0.2, -0.1), (-0.5, 0.8), 0.1),
+    ((0.9, 0.0), (1.0, 0.0), 0.5),
+    ((0.1, 0.2), (1e50, 0.0), 0.2),
+    ((1.0, 0.5), (0.5, 0.1), 0.05),
+    ((0.0, 0.5), (0.3, -1.0), 0.002),
+    ((-0.3, 0.4), (0.0, -1e99), 0.3),
+    ((-0.3, 0.4), (0.6, 0.6), 0.25),
+]
+
+
+def _raised(fn, *args):
+    """The type and text of what fn raises."""
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+class TestFlatEngineMatchesArrayEngine:
+    """The engine on flat lists of Python floats against the (N, 4) array
+    engine it replaced (``oracles.ref_rk4_batch``), bit for bit."""
+
+    @pytest.mark.parametrize("rows", range(1, 9))
+    @pytest.mark.parametrize("witness", ["irreversible", "class_a"])
+    def test_paths(self, witness, rows, request):
+        bundle = request.getfixturevalue(f"{witness}_bundle")
+        starts = ENGINE_STARTS[-rows:] if rows % 2 else ENGINE_STARTS[:rows]
+        columns = [list(column) for column in zip(*starts)]
+        got = _integrate_batch(bundle, *columns, 1e-3)
+        want = ref_integrate_batch(bundle, *columns, 1e-3)
+        assert len(got) == rows
+        for path, ref in zip(got, want):
+            _same_path(path, ref)
+            assert path.samples.tobytes() == ref.samples.tobytes()
+            assert path.velocities.tobytes() == ref.velocities.tobytes()
+        if rows == 8:  # class_a's domain is [-1.5, 1.5]^2: only the fast starts leave it
+            truncated = [False, False, True, True, True, False, True, False]
+            if witness == "class_a":
+                truncated[2] = truncated[4] = False
+            assert [path.truncated for path in got] == truncated
+
+    def test_a_failure_inside_the_domain_raises_the_same_error(self):
+        metric = IsothermalMetric.from_text("0", Rectangle(-1, 1, -1, 1))
+        bundle = MetricBundle(metric, LinearForm.from_text("0.65", "0"), PhiFunction.matsumoto(0.7))
+        args = ([(0.3, -0.4)] * 3, [(0.0, 1e99), (0.0, -1.0), (1.0, 0.0)], [0.1, 0.2, 0.1], 1e-3)
+        got = _raised(_integrate_batch, bundle, *args)
+        assert got == _raised(ref_integrate_batch, bundle, *args)
+        assert got[0] is SingularHessianError
+
+    def test_a_flow_that_overflows_names_the_same_state(self):
+        # a1 = y1^3 overflows for the row with y1 = 1e103: its next state is
+        # not finite while the other rows stay inside.
+        def flat_rate(z):
+            out = []
+            for i in range(0, len(z), 4):
+                x1, x2, y1, y2 = z[i : i + 4]
+                out += (y1, y2, y1 * y1 * y1, -x2)
+            return out
+
+        def array_rate(z):
+            return np.column_stack((z[:, 2], z[:, 3], z[:, 2] * z[:, 2] * z[:, 2], -z[:, 1]))
+
+        domain = Rectangle(-1e200, 1e200, -1, 1)
+        args = ([(0.0, 0.1), (0.0, 0.2), (0.1, 0.0)], [(0.5, 0.1), (1e103, 0.0), (0.2, 0.3)], [0.1, 0.1, 0.05], 1e-3)
+        with np.errstate(all="ignore"):
+            got = _raised(_rk4_batch, flat_rate, domain, *args)
+            assert got == _raised(ref_rk4_batch, array_rate, domain, *args)
+        assert got == (EvalDomainError, "geodesic flow is not finite at x=(0.0, 0.2), y=(1e+103, 0.0)")
 
 
 def _path_digest(path: GeodesicPath) -> str:
