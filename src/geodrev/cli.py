@@ -28,8 +28,8 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig, load_config
 from .frames import crosscheck
 from .geodesics import SPEED_DECADES, PathTooLongError, SingularHessianError, _probe
-from .metric import FinslerValidationError, MetricBundle, _margin_blocks, _row_blocks, sample_grid
-from .reversibility import InconsistentEvidenceError, _ladder, classify, residual
+from .metric import FinslerValidationError, MetricBundle, _margin_blocks, _row_blocks, _run_block, sample_grid
+from .reversibility import InconsistentEvidenceError, _profile_ladder, classify, residual
 from .scalarfield import EvalDomainError
 
 EXIT_OK = 0
@@ -161,8 +161,8 @@ def cmd_validate(args, bundle: MetricBundle, cfg: ExperimentConfig) -> int:
     report = bundle.validate()
     print(report.as_text())
     if args.out is not None:
-        n = max(bundle.sampling.n_s, 64)
-        write_csv(args.out, ["s", "b", "ec1_margin"], _margin_blocks(bundle.phi, n))
+        blocks = _margin_blocks(bundle.phi, bundle.sampling.validation_n)
+        write_csv(args.out, ["s", "b", "ec1_margin"], blocks)
     return EXIT_OK if report.passed else EXIT_VALIDATION
 
 
@@ -180,13 +180,6 @@ SCAN_HEADERS = {
 }
 
 
-def _scan_values(bundle: MetricBundle, what: str, x, t) -> list:
-    if what == "residual":
-        return [residual(bundle, x, t)]
-    result = crosscheck(bundle, x, t)
-    return [result.direct, result.closed_form, result.relative_gap]
-
-
 def _scan_rows(bundle: MetricBundle, what: str):
     """The blocks of a scan's rows, each evaluated when the writer asks for it:
     E and F are one (rows, 3) table over s; a grid scan runs in _row_blocks
@@ -194,23 +187,19 @@ def _scan_rows(bundle: MetricBundle, what: str):
     """
     report = bundle.validate()
     if what in ("E", "F"):
-        s = np.linspace(-report.b_sup, report.b_sup, bundle.sampling.n_s)
-        ladder = _ladder(bundle.phi, s)
-        yield np.stack(np.broadcast_arrays(s, ladder.E(), ladder.F(report.b_sup)), axis=-1)
+        ladder = _profile_ladder(bundle)
+        yield np.stack(np.broadcast_arrays(ladder.s, ladder.E(), ladder.F(report.b_sup)), axis=-1)
         return
     X1, X2, t = sample_grid(bundle.metric.domain, bundle.sampling)
-    for rows in _row_blocks(len(X1), t.size):
+    def evaluate(rows):
         x = X1[rows], X2[rows]
-        try:
-            values = _scan_values(bundle, what, x, t)
-        except EvalDomainError:
-            # A block call evaluates each expression at every point before the
-            # next, so its error may name a later point than the first to
-            # fail; walk this block's points in row order to name the first.
-            for point in zip(x[0].ravel(), x[1].ravel()):
-                _scan_values(bundle, what, point, t)
-            raise
-        yield np.stack(np.broadcast_arrays(*x, t, *values), axis=-1)
+        if what == "residual":
+            return [residual(bundle, x, t)]
+        result = crosscheck(bundle, x, t)
+        return [result.direct, result.closed_form, result.relative_gap]
+    for rows in _row_blocks(len(X1), t.size):
+        values = _run_block(evaluate, rows, len(X1))
+        yield np.stack(np.broadcast_arrays(X1[rows], X2[rows], t, *values), axis=-1)
 
 
 def cmd_scan(args, bundle: MetricBundle, cfg: ExperimentConfig) -> int:

@@ -146,6 +146,18 @@ def _row_blocks(rows: int, width: int, budgets: int = 1):
     return (slice(a, a + step) for a in range(0, rows, step))
 
 
+def _run_block(call, rows: slice, n: int):
+    """call(rows) for a _row_blocks slice of n rows.  If it raises EvalDomainError, each row of the
+    slice runs alone, in row order, and the first that fails raises its own error: a block call
+    evaluates each expression at every point before the next, so its error may name a later point."""
+    try:
+        return call(rows)
+    except EvalDomainError:
+        for i in range(*rows.indices(n)):
+            call(slice(i, i + 1))
+        raise
+
+
 def _triangle_rows(b0: float, n: int, rows: slice) -> tuple[np.ndarray, np.ndarray]:
     """The rows ``rows`` of the triangular grid of pairs (s, b) with |s| <= b < b0.
 
@@ -206,8 +218,9 @@ def validate_finsler(phi: PhiFunction, grid_n: int = 201) -> ValidationReport:
     b0 = phi.b0
     edge = b0 * grid_n / (grid_n + 1.0)
     s_line = np.linspace(-edge, edge, 2 * grid_n + 1)
-    bad_s = None  # the first s, on the line before the triangle, where a quantity is not finite
+    bad_s = None  # the first s where phi leaves its domain, else (line first) where a value is not finite
     worst_ec1 = None  # (ec1, s, b) at the first occurrence of the triangle's minimum
+    s_tri = ()  # the triangle block being evaluated; the blocks before it ran without an error
     try:
         # a constant profile evaluates to one value
         phi_line = np.broadcast_to(np.asarray(phi.phi(s=s_line), dtype=float), s_line.shape)
@@ -230,17 +243,7 @@ def validate_finsler(phi: PhiFunction, grid_n: int = 201) -> ValidationReport:
             if worst_ec1 is None or ec1[i] < worst_ec1[0]:
                 worst_ec1 = (float(ec1[i]), float(s_tri[i]), float(b_tri[i]))
     except EvalDomainError:
-        blocks = _row_blocks(grid_n, grid_n, _MARGIN_BUDGETS)
-        s_rows = (_triangle_rows(b0, grid_n, rows)[0] for rows in blocks)
-        witness = _locate_domain_witness(phi, itertools.chain(s_line, itertools.chain.from_iterable(s_rows)))
-        return ValidationReport(
-            min_margin_ec1=float("-inf"),
-            min_margin_ec2=float("-inf"),
-            min_phi=float("-inf"),
-            passed=False,
-            witness=witness or {"s": float("nan")},
-        )
-
+        bad_s = _locate_domain_witness(phi, itertools.chain(s_line, s_tri)).get("s", float("nan"))
     if bad_s is not None:
         return ValidationReport(float("-inf"), float("-inf"), float("-inf"), False, {"s": bad_s})
 
@@ -350,6 +353,10 @@ class Sampling:
     def doubled(self) -> "Sampling":
         return Sampling(2 * self.n_x1, 2 * self.n_x2, 2 * self.n_t, 2 * self.n_s, self.eps_zero)
 
+    @property
+    def validation_n(self) -> int:  # the side of validation's grids, at least validate_finsler's 64
+        return max(self.n_s, 64)
+
 
 def sample_grid(domain: Rectangle, sampling: Sampling) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Base x fiber grid on which the criterion is sampled.
@@ -415,7 +422,7 @@ class MetricBundle:
 
     def validate(self) -> BundleValidationReport:
         if self._report is None:
-            phi_report = validate_finsler(self.phi, max(self.sampling.n_s, 64))
+            phi_report = validate_finsler(self.phi, self.sampling.validation_n)
             b_sup = self.b_sup()
             margin = self.phi.b0 - b_sup
             self._report = BundleValidationReport(

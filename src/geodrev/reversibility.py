@@ -34,11 +34,12 @@ from .metric import (
     PhiFunction,
     _beta_pair,
     _row_blocks,
+    _run_block,
     _zero_test,
     even_odd_decompose,
     sample_grid,
 )
-from .scalarfield import ExpressionError, _require_finite
+from .scalarfield import _require_finite
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +78,12 @@ def _ladder(phi: PhiFunction, s) -> _Ladder:
     _require_finite({"phi": pp, "phi'": d1p, "phi''": d2p}, {"s": s})
     _require_finite({"phi": pm, "phi'": d1m, "phi''": d2m}, {"s": -s})
     return _Ladder(s, pp, pm, d1p, d1m, d2p, d2m, d1p * d2m + d1m * d2p)
+
+
+def _profile_ladder(bundle: MetricBundle) -> _Ladder:
+    """The ladder on the n_s values of s over [-b_sup, b_sup], the values beta reaches."""
+    b_sup = bundle.validate().b_sup
+    return _ladder(bundle.phi, np.linspace(-b_sup, b_sup, bundle.sampling.n_s))
 
 
 # ---------------------------------------------------------------------------
@@ -283,20 +290,17 @@ def _fiber_peaks(pd: PointData, phi: PhiFunction, x1, x2, t) -> list:
 
     Base data that are constant everywhere give fiber arrays of one row,
     which stay one block.  Max is exact, so the peaks are those of the
-    whole grid.  When a block raises, the whole grid runs through the same
-    function once, so that the error names the first failing field and
-    point of the whole grid.
+    whole grid.  An error names the first base row that fails, and its
+    first failing field and point.
     """
     varying = [name for name, values in vars(pd).items() if np.ndim(values)]  # (n, 1) columns
     blocks = _row_blocks(len(x1), np.size(t)) if varying else [slice(None)]
+    def evidence(rows):
+        block = replace(pd, **{name: getattr(pd, name)[rows] for name in varying})
+        return _fiber_evidence(block, phi, x1[rows], x2[rows], t)
     peaks = [0.0, 0.0, 0.0]
     for rows in blocks:
-        block = replace(pd, **{name: getattr(pd, name)[rows] for name in varying})
-        try:
-            values = _fiber_evidence(block, phi, x1[rows], x2[rows], t)
-        except ExpressionError:
-            _fiber_evidence(pd, phi, x1, x2, t)
-            raise
+        values = _run_block(evidence, rows, len(x1))
         peaks = [max(p, float(np.max(np.abs(v)))) for p, v in zip(peaks, values)]
     return peaks
 
@@ -316,9 +320,7 @@ def classify(bundle: MetricBundle) -> Classification:
 
     X1, X2, t = sample_grid(bundle.metric.domain, sampling)
     pd = point_data(bundle.form, bundle.metric, X1, X2)
-    s_grid = np.linspace(-report.b_sup, report.b_sup, sampling.n_s)
-
-    ladder = _ladder(bundle.phi, s_grid)
+    ladder = _profile_ladder(bundle)
     even_gap = ladder.pp - ladder.pm
     e_values = ladder.E()
     curl_values = pd.db2_dx1 - pd.db1_dx2
@@ -328,7 +330,7 @@ def classify(bundle: MetricBundle) -> Classification:
     nu_scale = float(np.max(np.abs(pd.nu)))
 
     m2_peak, m_peak, residual_peak = _fiber_peaks(pd, bundle.phi, X1, X2, t)
-    _require_finite({"E": e_values, "even gap": even_gap}, {"s": s_grid})
+    _require_finite({"E": e_values, "even gap": even_gap}, {"s": ladder.s})
 
     evidence = {
         "M2": _zero_test(m2_peak, eps0),

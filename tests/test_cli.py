@@ -18,7 +18,7 @@ from geodrev import (
     PhiFunction,
     path_distance,
 )
-from geodrev import cli, config, metric
+from geodrev import cli, config, metric, reversibility
 from geodrev.cli import main
 from geodrev.config import ConfigError, ExperimentConfig, load_config, parse_config
 from geodrev.geodesics import _norm_batch
@@ -795,19 +795,25 @@ class TestErrorExitCodes:
     def test_non_finite_evidence_names_the_first_point_of_the_grid(
         self, tmp_path, capsys, monkeypatch, block_values
     ):
-        # M2 overflows on every base row; the residual first at x1 = 0.6, in
-        # the third block of 128 rows.  The message names the residual there,
-        # as it did when classify evaluated the whole grid at once.
+        # M2 overflows on every base row, the residual first at x1 = 0.6.  The
+        # first block fails and only its rows run again, one at a time: the
+        # first row names its M2, and no call sees more rows than a block holds.
         path = write(
             tmp_path, SUBNORMAL_ALPHA_CONFIG.replace("1e-308*sin", "1e-308*(0.5 + 0.25*x1)*sin")
         )
         assert main(["validate", path]) == 0
         capsys.readouterr()
         monkeypatch.setattr(metric, "_BLOCK_VALUES", block_values)
+        rows, fiber_evidence = [], reversibility._fiber_evidence
+
+        def recording_fiber_evidence(pd, phi, x1, x2, t):
+            rows.append(len(x1))
+            return fiber_evidence(pd, phi, x1, x2, t)
+
+        monkeypatch.setattr(reversibility, "_fiber_evidence", recording_fiber_evidence)
         assert main(["classify", path]) == 1
-        assert capsys.readouterr().err == (
-            "config error: residual is not finite at x1=0.6000000000000001, x2=0.0, t=0.0\n"
-        )
+        assert capsys.readouterr().err == "config error: M2 is not finite at x1=-1.0, x2=-1.0, t=0.0\n"
+        assert rows == [min(21 * 21, max(1, block_values // 64)), 1]
 
     def test_inconsistent_evidence_is_validation_failure(self, tmp_path, capsys):
         code = main(["classify", write(tmp_path, INCONSISTENT_CONFIG)])

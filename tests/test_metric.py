@@ -143,11 +143,21 @@ class TestValidationInBlocks:
         line = np.linspace(-0.9 * n / (n + 1), 0.9 * n / (n + 1), 2 * n + 1)
         pole = float([v for v in s if v > 0 and v not in line][3])
         phi = PhiFunction.from_text(f"exp(800*s) + 1/(s - {pole!r})", 0.9)
+        walked, walk = [], metric._locate_domain_witness
+
+        def recording_walk(phi, s_values):
+            walked.append(list(s_values))
+            return walk(phi, walked[-1])
+
+        monkeypatch.setattr(metric, "_locate_domain_witness", recording_walk)
         _block_rows(monkeypatch, rows, n)
         with np.errstate(all="ignore"):
             report = validate_finsler(phi, n)
         assert (report.min_margin_ec1, report.min_margin_ec2, report.min_phi) == (-math.inf,) * 3
         assert not report.passed and report.witness == {"s": pole}
+        # the witness walk gets the line and the block that raised, not the
+        # blocks before it, which evaluated without an error
+        assert len(walked) == 1 and len(walked[0]) <= 2 * n + 1 + (rows or n) * n
 
     @pytest.mark.parametrize("rows", [1, 3, 40, 163])
     @pytest.mark.parametrize("b0", [0.9, 1 / 3, 2e-320, 5e-320])
