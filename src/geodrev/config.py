@@ -236,9 +236,15 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ConfigError(row.wording.format(value=repr(value)), line)
 
     metric, phi, geodesics = values["metric"], values["phi"], values["geodesics"]
+    for axis in ("x1", "x2"):
+        low, high = metric[f"{axis}min"], metric[f"{axis}max"]
+        if low >= high:
+            raise ConfigError(
+                f"domain rectangle must have positive extent:"
+                f" {axis}max = {high!r} is not above {axis}min = {low!r}",
+                sections["metric"][f"{axis}max"][1],
+            )
     domain = Rectangle(metric["x1min"], metric["x1max"], metric["x2min"], metric["x2max"])
-    if domain.x1min >= domain.x1max or domain.x2min >= domain.x2max:
-        raise ConfigError("domain rectangle must have positive extent")
     if phi["kind"] == "expr" and not phi["expr"]:
         raise ConfigError("phi kind 'expr' requires an 'expr' key")
     if phi["kind"] != "expr" and "expr" in sections["phi"]:

@@ -4,13 +4,16 @@ The spray coefficients G1, G2 come from nested central differences of the
 energy F^2, never from the symbolic pipeline, so trajectory-level checks
 are independent of the closed-form machinery they confirm.  One engine
 integrates every path: fixed-step RK4 that advances a batch of rows in
-lockstep, a single path being a batch of one.  Its rows travel as one flat
-list of Python floats; numpy computes only the speeds, the finite-difference
-stencil and the norm, and each step is stored in a preallocated float64
-trajectory.  One probe tests reversibility, for the direction fan and for
-the ``geodesic`` command alike: it runs a geodesic forward, relaunches it
-backward from the endpoint and measures the unparametrized distance
-between the two paths.
+lockstep.  Its rows travel as one flat list of Python floats; numpy
+computes only the speeds, the finite-difference stencil and the norm, and
+each step is stored in a preallocated float64 trajectory.  While the batch
+holds one row, as in the ``geodesic`` command or for the last row of a fan,
+each step runs on that row's four floats with none of the batch's
+bookkeeping, and hands the step back to the batch code wherever that would
+raise or rerun the norm; both give the same bits.  One probe tests
+reversibility, for the direction fan and for the ``geodesic`` command
+alike: it runs a geodesic forward, relaunches it backward from the
+endpoint and measures the unparametrized distance between the two paths.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .scalarfield import EvalDomainError, _Emitter, _Fallback
 # the spray's finite differences take steps of 1e-4 |y| and square them;
 # beyond about 1e-155 and 1e154 they lose precision, underflow or overflow.
 SPEED_DECADES = 150
+_LOW, _HIGH = 10.0**-SPEED_DECADES, 10.0**SPEED_DECADES
 
 
 class SingularHessianError(ValueError):
@@ -140,6 +144,40 @@ del _row, _k, _i, _sx, _sy
 _TAKE = 3 * np.arange(4) + np.where(_STENCIL == 1.0, 1, np.where(_STENCIL == -1.0, 2, 0))
 
 
+def _fiber_flow(x1, x2, y1, y2, hx, hy, L) -> tuple:
+    """(-2 G1, -2 G2) at the row (x1, x2, y1, y2) from the energies F^2 on
+    its stencil, L a list of 29 Python floats, by the fiber Hessian and a
+    2x2 solve; raises where that Hessian is not positive definite."""
+    # Python's float power is libm pow(hy, 2), which need not equal hy * hy.
+    hy_sq = hy**2
+    h11 = (L[1] - 2.0 * L[0] + L[2]) / hy_sq
+    h22 = (L[3] - 2.0 * L[0] + L[4]) / hy_sq
+    h12 = (L[5] - L[6] - L[7] + L[8]) / (4.0 * hy_sq)
+    det = h11 * h22 - h12 * h12
+    if h11 <= 0.0 or det <= 0.0:
+        # A 0 or non-finite F^2 is an underflow or overflow, not a
+        # Hessian of a structure that fails to be Finsler.
+        if 0.0 in L or not all(map(math.isfinite, L)):
+            raise EvalDomainError(
+                f"F^2 underflows to 0 or is not finite near x=({x1}, {x2}), y=({y1}, {y2})"
+            )
+        raise SingularHessianError(
+            f"fiber Hessian of F^2 not positive definite at x=({x1}, {x2}), y=({y1}, {y2})"
+        )
+    lx1 = (L[9] - L[10]) / (2.0 * hx)
+    lx2 = (L[11] - L[12]) / (2.0 * hx)
+    scale = 4.0 * hx * hy
+    m11 = (L[13] - L[14] - L[15] + L[16]) / scale  # d2L/dx1 dy1
+    m12 = (L[17] - L[18] - L[19] + L[20]) / scale  # d2L/dx1 dy2
+    m21 = (L[21] - L[22] - L[23] + L[24]) / scale  # d2L/dx2 dy1
+    m22 = (L[25] - L[26] - L[27] + L[28]) / scale  # d2L/dx2 dy2
+    rhs1 = m11 * y1 + m21 * y2 - lx1
+    rhs2 = m12 * y1 + m22 * y2 - lx2
+    two_g1 = (h22 * rhs1 - h12 * rhs2) / det
+    two_g2 = (h11 * rhs2 - h12 * rhs1) / det
+    return -two_g1, -two_g2
+
+
 def _rates(bundle: MetricBundle, states: list) -> list:
     """Geodesic flow (y1, y2, -2 G1, -2 G2) at each row (x1, x2, y1, y2) of
     ``states``, a flat list of Python floats, four per row; the result is
@@ -149,29 +187,27 @@ def _rates(bundle: MetricBundle, states: list) -> list:
     ``_norm_batch`` call, evaluates F on the stencils of all rows.  A stencil
     coordinate is v + s * step for s in {0, 1, -1}: for a positive finite
     step, bitwise v + 0.0, v + step or v - step, which a row loop forms.
-    The Hessian and the 2x2 solve then run row by row on Python floats: for
-    one path or a fan of a few directions, that is cheaper than the same
-    solve spelled as dozens of small-array operations.  Rows never mix, so
-    a row's result does not depend on the batch it is in.  The lowest-index
-    failing row raises.
+    The Hessian and the 2x2 solve, ``_fiber_flow``, then run row by row on
+    Python floats: for one path or a fan of a few directions, that is
+    cheaper than the same solve spelled as dozens of small-array operations.
+    Rows never mix, so a row's result does not depend on the batch it is
+    in.  The lowest-index failing row raises.
     """
     table = np.array(states).reshape(-1, 4)
     speeds = np.hypot(table[:, 2], table[:, 3]).tolist()
-    low, high = 10.0**-SPEED_DECADES, 10.0**SPEED_DECADES
-    for row, speed in enumerate(speeds):
-        if speed < low or speed > high:
-            x1, x2, y1, y2 = states[4 * row : 4 * row + 4]
-            raise EvalDomainError(
-                f"tangent vector length {speed} outside [1e-{SPEED_DECADES}, 1e{SPEED_DECADES}]"
-                f" at x=({x1}, {x2}), y=({y1}, {y2})"
-            )
-    hys = [1e-4 * speed for speed in speeds]
     hx = _oracle(bundle).hx
 
     values = iter(states)
     rows = list(zip(values, values, values, values))
-    near = []
-    for (x1, x2, y1, y2), hy in zip(rows, hys):
+    hys, near = [], []
+    for (x1, x2, y1, y2), speed in zip(rows, speeds):
+        if speed < _LOW or speed > _HIGH:
+            raise EvalDomainError(
+                f"tangent vector length {speed} outside [1e-{SPEED_DECADES}, 1e{SPEED_DECADES}]"
+                f" at x=({x1}, {x2}), y=({y1}, {y2})"
+            )
+        hy = 1e-4 * speed
+        hys.append(hy)
         near += (x1 + 0.0, x1 + hx, x1 - hx, x2 + 0.0, x2 + hx, x2 - hx,
                  y1 + 0.0, y1 + hy, y1 - hy, y2 + 0.0, y2 + hy, y2 - hy)
     pts = np.array(near).reshape(-1, 12).take(_TAKE, axis=1).reshape(-1, 4)
@@ -180,34 +216,8 @@ def _rates(bundle: MetricBundle, states: list) -> list:
 
     rates = []
     for (x1, x2, y1, y2), hy, L in zip(rows, hys, energies.tolist()):
-        # Python's float power is libm pow(hy, 2), which need not equal hy * hy.
-        hy_sq = hy**2
-        h11 = (L[1] - 2.0 * L[0] + L[2]) / hy_sq
-        h22 = (L[3] - 2.0 * L[0] + L[4]) / hy_sq
-        h12 = (L[5] - L[6] - L[7] + L[8]) / (4.0 * hy_sq)
-        det = h11 * h22 - h12 * h12
-        if h11 <= 0.0 or det <= 0.0:
-            # A 0 or non-finite F^2 is an underflow or overflow, not a
-            # Hessian of a structure that fails to be Finsler.
-            if 0.0 in L or not all(map(math.isfinite, L)):
-                raise EvalDomainError(
-                    f"F^2 underflows to 0 or is not finite near x=({x1}, {x2}), y=({y1}, {y2})"
-                )
-            raise SingularHessianError(
-                f"fiber Hessian of F^2 not positive definite at x=({x1}, {x2}), y=({y1}, {y2})"
-            )
-        lx1 = (L[9] - L[10]) / (2.0 * hx)
-        lx2 = (L[11] - L[12]) / (2.0 * hx)
-        scale = 4.0 * hx * hy
-        m11 = (L[13] - L[14] - L[15] + L[16]) / scale  # d2L/dx1 dy1
-        m12 = (L[17] - L[18] - L[19] + L[20]) / scale  # d2L/dx1 dy2
-        m21 = (L[21] - L[22] - L[23] + L[24]) / scale  # d2L/dx2 dy1
-        m22 = (L[25] - L[26] - L[27] + L[28]) / scale  # d2L/dx2 dy2
-        rhs1 = m11 * y1 + m21 * y2 - lx1
-        rhs2 = m12 * y1 + m22 * y2 - lx2
-        two_g1 = (h22 * rhs1 - h12 * rhs2) / det
-        two_g2 = (h11 * rhs2 - h12 * rhs1) / det
-        rates += (y1, y2, -two_g1, -two_g2)
+        g1, g2 = _fiber_flow(x1, x2, y1, y2, hx, hy, L)
+        rates += (y1, y2, g1, g2)
     return rates
 
 
@@ -236,6 +246,71 @@ def _rk4_step(rate, state: list, h: float) -> list:
     ]
 
 
+class _Declined(Exception):
+    """The one-row step leaves a step to ``_rk4_step`` and ``_rates``."""
+
+
+def _row_flow(oracle: _Oracle, x1: float, x2: float, y1: float, y2: float) -> tuple:
+    """(-2 G1, -2 G2) of ``_rates`` at the one row (x1, x2, y1, y2) in its
+    regular case, bitwise.
+
+    The speed is one ``np.hypot`` call, the stencil one ``take`` of the
+    row's twelve coordinates, and F comes from the bundle's compiled
+    program itself, read on every call so that a rebuilt program is used.
+    It raises _Declined, and so leaves the step to ``_rates``, for a speed
+    outside the accepted range, for a program that raises _Fallback or
+    FloatingPointError, and for a Hessian that is not positive definite.
+    It changes nothing: only ``_norm_batch`` rebuilds the program.
+    """
+    speed = float(np.hypot(y1, y2))
+    if not _LOW <= speed <= _HIGH:
+        raise _Declined
+    hx, hy = oracle.hx, 1e-4 * speed
+    near = (x1 + 0.0, x1 + hx, x1 - hx, x2 + 0.0, x2 + hx, x2 - hx,
+            y1 + 0.0, y1 + hy, y1 - hy, y2 + 0.0, y2 + hy, y2 - hy)
+    pts = np.array(near).take(_TAKE)
+    try:
+        norms = oracle.norm(pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3])
+        return _fiber_flow(x1, x2, y1, y2, hx, hy, (norms * norms).tolist())
+    except (_Fallback, FloatingPointError, SingularHessianError, EvalDomainError):
+        raise _Declined from None
+
+
+def _row_step(oracle: _Oracle, state: list, h: float) -> list:
+    """``_rk4_step`` of the one row ``state`` with ``_rates``, bitwise, on
+    four Python-float locals; raises _Declined where ``_row_flow`` does.
+    Stage k = (k1, k2, k3, k4) of ``_rk4_step`` is (y1, y2, a3, a4) for k1,
+    (b1, b2, b3, b4) for k2 and so on."""
+    x1, x2, y1, y2 = state
+    half = 0.5 * h
+    a3, a4 = _row_flow(oracle, x1, x2, y1, y2)
+    b1, b2 = y1 + half * a3, y2 + half * a4
+    b3, b4 = _row_flow(oracle, x1 + half * y1, x2 + half * y2, b1, b2)
+    c1, c2 = y1 + half * b3, y2 + half * b4
+    c3, c4 = _row_flow(oracle, x1 + half * b1, x2 + half * b2, c1, c2)
+    d1, d2 = y1 + h * c3, y2 + h * c4
+    d3, d4 = _row_flow(oracle, x1 + h * c1, x2 + h * c2, d1, d2)
+    sixth = h / 6.0
+    return [
+        x1 + sixth * (((y1 + 2.0 * b1) + 2.0 * c1) + d1),
+        x2 + sixth * (((y2 + 2.0 * b2) + 2.0 * c2) + d2),
+        y1 + sixth * (((a3 + 2.0 * b3) + 2.0 * c3) + d3),
+        y2 + sixth * (((a4 + 2.0 * b4) + 2.0 * c4) + d4),
+    ]
+
+
+def _advance(rate, row_step, state: list, h: float) -> list:
+    """``_rk4_step(rate, state, h)``.  A single row takes its step through
+    ``row_step(state, h)`` first, when there is one, and through ``rate``
+    where that declines."""
+    if row_step is not None and len(state) == 4:
+        try:
+            return row_step(state, h)
+        except _Declined:
+            pass
+    return _rk4_step(rate, state, h)
+
+
 def _fails_outside(rate, domain, state: list, h: float) -> bool:
     """Whether the RK4 step of the one row ``state`` first fails at a stage
     k2, k3 or k4 whose point is finite and outside the domain rectangle."""
@@ -251,7 +326,7 @@ def _fails_outside(rate, domain, state: list, h: float) -> bool:
     return False
 
 
-def _rk4_batch(rate, domain, x0s, y0s, Ts, h: float) -> list[GeodesicPath]:
+def _rk4_batch(rate, domain, x0s, y0s, Ts, h: float, row_step=None) -> list[GeodesicPath]:
     """Fixed-step RK4 paths from every (x0, y0) for its duration T, in lockstep.
 
     The live rows travel as one flat list of Python floats, (x1, x2, y1, y2)
@@ -264,6 +339,11 @@ def _rk4_batch(rate, domain, x0s, y0s, Ts, h: float) -> list[GeodesicPath]:
     truncated, and the step runs again for the other rows; the rows are
     found one at a time only after such a failure.  A failure at a stage
     inside the domain raises.
+
+    ``row_step(state, h)``, when given, takes each step while one row is
+    live: it returns what ``_rk4_step(rate, state, h)`` would, or raises
+    _Declined, and then ``rate`` takes the step.  Without it, every step
+    goes through ``rate``.
     """
     if not 0.0 < h < math.inf or not all(0.0 < T < math.inf for T in Ts):
         raise ValueError("T and h must be positive and finite")
@@ -288,7 +368,7 @@ def _rk4_batch(rate, domain, x0s, y0s, Ts, h: float) -> list[GeodesicPath]:
     step = 0
     while live:
         try:
-            state_next = _rk4_step(rate, state, h)
+            state_next = _advance(rate, row_step, state, h)
         except (SingularHessianError, EvalDomainError):
             gone = [_fails_outside(rate, domain, state[j : j + 4], h) for j in range(0, len(state), 4)]
             if not any(gone):
@@ -339,8 +419,14 @@ def _keep(live: list, state: list, drop: list):
 
 def _integrate_batch(bundle: MetricBundle, x0s, y0s, Ts, h: float) -> list[GeodesicPath]:
     """Runs of x'' = -2 G(x, x') from every (x0, y0) for its duration T with
-    fixed step h, advanced as one lockstep batch."""
-    return _rk4_batch(lambda z: _rates(bundle, z), bundle.metric.domain, x0s, y0s, Ts, h)
+    fixed step h, advanced as one lockstep batch: through ``_rates`` while
+    two or more rows are live, and through ``_row_step`` while one is, back
+    on ``_rates`` for each step that it declines."""
+    return _rk4_batch(
+        lambda z: _rates(bundle, z),
+        bundle.metric.domain, x0s, y0s, Ts, h,
+        lambda z, dt: _row_step(_oracle(bundle), z, dt),
+    )
 
 
 def path_prefix(path: GeodesicPath, T: float) -> GeodesicPath:

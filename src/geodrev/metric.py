@@ -193,14 +193,24 @@ def _margin_blocks(phi: PhiFunction, grid_n: int):
         yield np.stack(np.broadcast_arrays(s, b, margin), axis=-1).reshape(-1, 3)
 
 
-def _locate_domain_witness(phi: PhiFunction, s_values) -> dict:
-    for s in s_values:
+def _locate_domain_witness(phi: PhiFunction, chunks) -> dict:
+    """{"s": s} at the first s of ``chunks``, arrays taken in order, at which
+    phi, phi' or phi'' raises EvalDomainError; {} if none does.  Each chunk
+    is evaluated as an array, and only the first that raises is walked one
+    scalar at a time: every domain check holds elementwise, so a chunk
+    raises exactly when one of its values does."""
+    fields = (phi.phi, phi.d1, phi.d2)
+    for chunk in chunks:
         try:
-            phi.phi(s=float(s))
-            phi.d1(s=float(s))
-            phi.d2(s=float(s))
+            for field in fields:
+                field(s=chunk)
         except EvalDomainError:
-            return {"s": float(s)}
+            for s in chunk:
+                try:
+                    for field in fields:
+                        field(s=float(s))
+                except EvalDomainError:
+                    return {"s": float(s)}
     return {}
 
 
@@ -220,7 +230,7 @@ def validate_finsler(phi: PhiFunction, grid_n: int = 201) -> ValidationReport:
     s_line = np.linspace(-edge, edge, 2 * grid_n + 1)
     bad_s = None  # the first s where phi leaves its domain, else (line first) where a value is not finite
     worst_ec1 = None  # (ec1, s, b) at the first occurrence of the triangle's minimum
-    s_tri = ()  # the triangle block being evaluated; the blocks before it ran without an error
+    s_tri = np.empty(0)  # the triangle block being evaluated; the blocks before it ran without an error
     try:
         # a constant profile evaluates to one value
         phi_line = np.broadcast_to(np.asarray(phi.phi(s=s_line), dtype=float), s_line.shape)
@@ -243,7 +253,10 @@ def validate_finsler(phi: PhiFunction, grid_n: int = 201) -> ValidationReport:
             if worst_ec1 is None or ec1[i] < worst_ec1[0]:
                 worst_ec1 = (float(ec1[i]), float(s_tri[i]), float(b_tri[i]))
     except EvalDomainError:
-        bad_s = _locate_domain_witness(phi, itertools.chain(s_line, s_tri)).get("s", float("nan"))
+        # the line, then the block one triangle row at a time, in chunks of at most grid_n values
+        line = (s_line[a : a + grid_n] for a in range(0, len(s_line), grid_n))
+        chunks = itertools.chain(line, s_tri.reshape(-1, grid_n))
+        bad_s = _locate_domain_witness(phi, chunks).get("s", float("nan"))
     if bad_s is not None:
         return ValidationReport(float("-inf"), float("-inf"), float("-inf"), False, {"s": bad_s})
 

@@ -39,7 +39,6 @@ from geodrev.metric import (
     ValidationReport,
     _beta_pair,
     _ec1_margin,
-    _locate_domain_witness,
 )
 from geodrev.reversibility import _ladder, point_data
 from geodrev.scalarfield import (
@@ -751,6 +750,19 @@ def ref_triangular_grid(b0: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.linspace(-bs, bs, n, axis=1).ravel(), np.repeat(bs, n)
 
 
+def ref_locate_domain_witness(phi: PhiFunction, s_values) -> dict:
+    """{"s": s} at the first of ``s_values`` at which phi, phi' or phi''
+    raises EvalDomainError, walked one scalar at a time; {} if none does."""
+    for s in s_values:
+        try:
+            phi.phi(s=float(s))
+            phi.d1(s=float(s))
+            phi.d2(s=float(s))
+        except EvalDomainError:
+            return {"s": float(s)}
+    return {}
+
+
 def ref_validate_finsler(phi: PhiFunction, grid_n: int = 201) -> ValidationReport:
     b0 = phi.b0
     edge = b0 * grid_n / (grid_n + 1.0)
@@ -762,7 +774,7 @@ def ref_validate_finsler(phi: PhiFunction, grid_n: int = 201) -> ValidationRepor
         ec2 = phi_line - s_line * d1_line
         ec1 = _ec1_margin(phi, s_tri, b_tri)
     except EvalDomainError:
-        witness = _locate_domain_witness(phi, np.concatenate([s_line, s_tri]))
+        witness = ref_locate_domain_witness(phi, np.concatenate([s_line, s_tri]))
         inf = float("-inf")
         return ValidationReport(inf, inf, inf, False, witness or {"s": float("nan")})
     bad = ~np.concatenate([np.isfinite(phi_line) & np.isfinite(ec2), np.isfinite(ec1)])

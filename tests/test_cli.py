@@ -280,6 +280,21 @@ class TestConfigParsing:
         assert main(["classify", write(tmp_path, "\n".join(lines))]) == 1
         assert capsys.readouterr().err == f"config error: line {number}: {message}\n"
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("x1max = -1.0", "x1max = -1.0 is not above x1min = -1.0"),
+            ("x2max = -2.5", "x2max = -2.5 is not above x2min = -1.0"),
+        ],
+    )
+    def test_empty_domain_rectangle_names_its_line(self, tmp_path, capsys, bad, message):
+        text = CLASS_B_CONFIG.replace(bad.split(" =")[0] + " = 1.0", bad)
+        number = text.splitlines().index(bad) + 1
+        assert main(["validate", write(tmp_path, text)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: line {number}: domain rectangle must have positive extent: {message}\n"
+        )
+
     @pytest.mark.parametrize("kind", ["randers", "matsumoto"])
     def test_expr_with_a_named_kind_names_its_line(self, tmp_path, capsys, kind):
         text = CLASS_A_CONFIG.replace('kind = "randers"', f'kind = "{kind}"\nexpr = "1 + s^2"')

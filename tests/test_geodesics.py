@@ -22,6 +22,7 @@ from geodrev import (
     reversibility_scan,
 )
 from geodrev import geodesics
+from geodrev.config import parse_config
 from geodrev.geodesics import _integrate_batch, _points_to_polyline, _rates, _rk4_batch, path_prefix
 from geodrev.scalarfield import EvalDomainError
 from oracles import (
@@ -34,6 +35,8 @@ from oracles import (
     riemann_geodesic,
     spray,
 )
+from test_cli import README as README_PATH
+from test_compiled_norm import _count_walks, _harmless_overflow_bundle
 
 SPHERE_NU = "-ln(1 + (x1^2 + x2^2)/4)"
 
@@ -427,8 +430,12 @@ class TestFlatEngineMatchesArrayEngine:
     """The engine on flat lists of Python floats against the (N, 4) array
     engine it replaced (``oracles.ref_rk4_batch``), bit for bit."""
 
-    @pytest.mark.parametrize("rows", range(1, 9))
-    @pytest.mark.parametrize("witness", ["irreversible", "class_a"])
+    @pytest.mark.parametrize(
+        "witness, rows",
+        # every witness as one row, the one-row step's case
+        [(witness, rows) for witness in ("irreversible", "class_a") for rows in range(1, 9)]
+        + [("class_b", 1), ("even", 1)],
+    )
     def test_paths(self, witness, rows, request):
         bundle = request.getfixturevalue(f"{witness}_bundle")
         starts = ENGINE_STARTS[-rows:] if rows % 2 else ENGINE_STARTS[:rows]
@@ -473,6 +480,110 @@ class TestFlatEngineMatchesArrayEngine:
             got = _raised(_rk4_batch, flat_rate, domain, *args)
             assert got == _raised(ref_rk4_batch, array_rate, domain, *args)
         assert got == (EvalDomainError, "geodesic flow is not finite at x=(0.0, 0.2), y=(1e+103, 0.0)")
+
+
+def _count_rates(monkeypatch) -> list:
+    """Events of the runs that follow: "s" for each one-row step, then "d"
+    if it declined, and "r" for each ``_rates`` call."""
+    events = []
+    row_step, rates = geodesics._row_step, geodesics._rates
+
+    def counted_step(oracle, state, h):
+        events.append("s")
+        try:
+            return row_step(oracle, state, h)
+        except geodesics._Declined:
+            events.append("d")
+            raise
+
+    def counted_rates(bundle, states):
+        events.append("r")
+        return rates(bundle, states)
+
+    monkeypatch.setattr(geodesics, "_row_step", counted_step)
+    monkeypatch.setattr(geodesics, "_rates", counted_rates)
+    return events
+
+
+def _outcome(fn, *args):
+    """The paths fn returns, as bytes, or the type and text of what it raises."""
+    try:
+        paths = fn(*args)
+    except Exception as exc:  # the exception is the outcome
+        return type(exc), str(exc)
+    return [
+        (p.samples.tobytes(), p.velocities.tobytes(), p.h, p.duration, p.truncated) for p in paths
+    ]
+
+
+class TestOneRowStep:
+    """A batch of one row steps through ``_row_step``; ``_rates`` runs only
+    for the steps that it declines, and the outcome is the array engine's."""
+
+    def test_a_regular_run_never_calls_rates(self, monkeypatch):
+        with open(README_PATH, encoding="utf-8") as handle:
+            example = handle.read().split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg = parse_config(example)
+        bundle = cfg.build_bundle()
+        events = _count_rates(monkeypatch)
+        # the geodesic command's forward run and relaunch
+        ((forward, rev, error),) = geodesics._probe(bundle, (0.0, 0.0), [(0.5, 0.0)], cfg.T, cfg.h)
+        assert f"{error:.12g}" == "1.07435126301e-07"  # the value CI pins
+        # one-row steps only: the forward run's and at least as many for the relaunch
+        assert set(events) == {"s"} and len(events) >= 2 * (len(forward.samples) - 1)
+        assert not forward.truncated and not rev.truncated
+
+    @staticmethod
+    def _check(bundle, x0, y0, T, monkeypatch, h=1e-3):
+        events = _count_rates(monkeypatch)
+        got = _outcome(_integrate_batch, bundle, [x0], [y0], [T], h)
+        codes = "".join(events)
+        assert got == _outcome(ref_integrate_batch, bundle, [x0], [y0], [T], h)
+        # every _rates call belongs to a step that the one-row step declined
+        assert re.fullmatch(r"(s|sdr+)*", codes), codes
+        return got, codes
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("witness", ["class_a", "class_b", "irreversible", "even"])
+    def test_each_engine_start_alone_equals_the_array_engine(self, witness, request, monkeypatch):
+        bundle = request.getfixturevalue(f"{witness}_bundle")
+        for x0, y0, T in ENGINE_STARTS:
+            self._check(bundle, x0, y0, T, monkeypatch)
+
+    def test_a_stage_outside_the_domain_truncates(self, irreversible_bundle, monkeypatch):
+        # the first step's k2 lies far outside the domain, where F^2's
+        # Hessian is not positive definite
+        got, codes = self._check(irreversible_bundle, (0.1, 0.2), (1e50, 0.0), 0.2, monkeypatch)
+        assert codes.count("d") == 1 and codes.startswith("sdr")
+        ((_, _, _, duration, truncated),) = got
+        assert truncated and duration == 0.0
+
+    def test_a_singular_hessian_inside_the_domain_raises(self, monkeypatch):
+        metric = IsothermalMetric.from_text("0", Rectangle(-1, 1, -1, 1))
+        bundle = MetricBundle(metric, LinearForm.from_text("0.65", "0"), PhiFunction.matsumoto(0.7))
+        got, codes = self._check(bundle, (0.3, -0.4), (1.0, 0.0), 0.1, monkeypatch)
+        assert got[0] is SingularHessianError
+        assert got[1] == "fiber Hessian of F^2 not positive definite at x=(0.3, -0.4), y=(1.0, 0.0)"
+        assert codes.startswith("sdr") and codes.count("s") == 1
+
+    def test_a_failing_ln_check_on_the_stencil_declines(self, monkeypatch):
+        # ln(x1 + 0.5) fails on the stencil once the path nears x1 = -0.5,
+        # inside the domain; the steps before stay on the one-row step
+        metric = IsothermalMetric.from_text("0.1*ln(x1 + 0.5)", Rectangle(-1, 1, -1, 1))
+        bundle = MetricBundle(metric, LinearForm.from_text("0.2", "0.1*x2"), PhiFunction.matsumoto(0.4))
+        got, codes = self._check(bundle, (-0.45, 0.0), (-1.0, 0.1), 0.2, monkeypatch)
+        assert got[0] is EvalDomainError and got[1].startswith("ln of non-positive value at x1=")
+        assert codes.count("d") == 1 and codes.count("s") > 10
+
+    def test_a_harmless_overflow_declines_once_and_rebuilds(self, monkeypatch):
+        bundle = _harmless_overflow_bundle()
+        walks = _count_walks(monkeypatch)
+        with np.errstate(over="ignore"):
+            _, codes = self._check(bundle, (0.95, 0.0), (0.0, 0.5), 0.05, monkeypatch)
+        assert len(walks) == 1  # the declined step's; the array engine's run comes after the rebuild
+        assert geodesics._oracle(bundle).each_power
+        # only the first step declines: it ran _rates, which rebuilt the program
+        assert codes.startswith("sdrrrr") and codes.count("d") == 1
 
 
 def _path_digest(path: GeodesicPath) -> str:

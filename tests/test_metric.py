@@ -145,8 +145,8 @@ class TestValidationInBlocks:
         phi = PhiFunction.from_text(f"exp(800*s) + 1/(s - {pole!r})", 0.9)
         walked, walk = [], metric._locate_domain_witness
 
-        def recording_walk(phi, s_values):
-            walked.append(list(s_values))
+        def recording_walk(phi, chunks):
+            walked.append(list(chunks))
             return walk(phi, walked[-1])
 
         monkeypatch.setattr(metric, "_locate_domain_witness", recording_walk)
@@ -156,8 +156,35 @@ class TestValidationInBlocks:
         assert (report.min_margin_ec1, report.min_margin_ec2, report.min_phi) == (-math.inf,) * 3
         assert not report.passed and report.witness == {"s": pole}
         # the witness walk gets the line and the block that raised, not the
-        # blocks before it, which evaluated without an error
-        assert len(walked) == 1 and len(walked[0]) <= 2 * n + 1 + (rows or n) * n
+        # blocks before it, which evaluated without an error, in chunks of
+        # at most a triangle row
+        assert len(walked) == 1 and sum(map(len, walked[0])) <= 2 * n + 1 + (rows or n) * n
+        assert max(map(len, walked[0])) <= n
+
+    def test_the_witness_walk_evaluates_scalars_in_one_chunk_only(self):
+        # A pole on a triangle point of row 50 at n_s = 2000: the walk takes
+        # the line, 4001 values, and the failing block as arrays, and walks
+        # scalars only in the triangle row that holds the pole.
+        n = 2000
+        s, _ = _triangle_rows(0.9, n, slice(50, 51))
+        line = np.linspace(-0.9 * n / (n + 1), 0.9 * n / (n + 1), 2 * n + 1)
+        pole = float([v for v in s if v > 0 and v not in line][3])
+        phi = PhiFunction.from_text(f"1 + 0.1*s + 1e-30/(s - {pole!r})", 0.9)
+        scalars = []
+
+        class Counted:
+            def __init__(self, field):
+                self.field = field
+
+            def __call__(self, s):
+                if np.ndim(s) == 0:
+                    scalars.append(s)
+                return self.field(s=s)
+
+        phi.phi, phi.d1, phi.d2 = Counted(phi.phi), Counted(phi.d1), Counted(phi.d2)
+        report = validate_finsler(phi, n)
+        assert not report.passed and report.witness == {"s": pole}
+        assert 0 < len(scalars) <= 3 * n
 
     @pytest.mark.parametrize("rows", [1, 3, 40, 163])
     @pytest.mark.parametrize("b0", [0.9, 1 / 3, 2e-320, 5e-320])
